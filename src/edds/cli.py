@@ -16,8 +16,8 @@ import json
 import math
 import sys
 
-from .model import Instance, Order, T_MIN, instance_from_doc
-from .csolve import SolverConfig, solve_fixed_order, _bhat
+from .model import Instance, Order, T_MIN, instance_from_doc, shannon_bits
+from .csolve import SolverConfig, solve_fixed_order
 from .order import brute_force_order, spf_order
 from .discrete import DiscreteParams, greedy_allocate, oracle_allocate, trace_to_csv
 from .verify import (
@@ -93,14 +93,7 @@ def _solver_config(doc: dict) -> SolverConfig | None:
     overrides = doc.get("solver")
     if not overrides:
         return None
-    allowed = {
-        "max_iters",
-        "grad_tol",
-        "armijo_c",
-        "backtrack_factor",
-        "init_step",
-        "t_min",
-    }
+    allowed = {"max_iters", "grad_tol", "t_min"}
     bad = set(overrides) - allowed
     if bad:
         raise _UsageError(f"unknown solver overrides: {sorted(bad)}")
@@ -223,7 +216,7 @@ def _sweep_surface(args, doc: dict, cfg: SolverConfig | None) -> int:
         else:
             t2, bhat2 = T_MIN, 0.0
         for t1 in t_grid:
-            u1 = 2.0 ** (b1 - float(_bhat(e1, t1))) + t1
+            u1 = 2.0 ** (b1 - shannon_bits(e1, t1)) + t1
             u2 = 2.0 ** (b2 - bhat2) + t1 + t2
             lines.append(f"{e1!r},{t1!r},{u1!r},{u2!r}")
     sys.stdout.write("\n".join(lines) + "\n")

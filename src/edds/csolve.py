@@ -1,17 +1,27 @@
-"""Projected-gradient solver for the fixed-order continuous schedule.
+"""Dual solver for the fixed-order continuous schedule.
 
-For a fixed transmission order the cost
+For a fixed order the cost U = sum_i D_i + sum_i a_i t_i, with distortion
+D_i = 2**(B_i - bhat_i(E_i, t_i)), is smooth and jointly convex over
+{E_i >= 0, sum E_i <= E, t_i >= t_min}, so a KKT point is a global optimum.
+With SNR x_i = E_i / t_i, dU/dE_i = -D_i / (1 + x_i) < 0, so the budget binds
+with a multiplier mu = e**lam, and an interior packet has D_i / (1 + x_i) = mu
+and dU/dt_i = a_i - D_i (ln(1 + x_i) - x_i / (1 + x_i)) = 0.  Dividing the two
+leaves mu ((1 + x) ln(1 + x) - x) = a_i, i.e. with u_i = ln(1 + x_i)
 
-    U(E, t) = sum_i 2**(B_i - bhat_i(E_i, t_i)) + sum_i a_i * t_i
+    e**u (u - 1) + 1 = a_i e**-lam:
 
-is smooth and jointly convex over {E_i >= 0, sum E_i <= E, t_i >= t_min}, so
-any point with zero projected gradient is a global optimum.  The solver
-exploits that, for fixed times, the optimal energies have a closed
-water-filling form (one scalar bisection); the outer loop is projected
-gradient descent on the times alone, with a Barzilai-Borwein initial step
-and Armijo backtracking.  Convergence is declared on the joint
-projected-gradient residual, so the returned point is stationary for the
-original problem in both variable blocks.
+the SNR depends on a_i and lam alone.  The log of D_i = mu (1 + x_i) gives
+t_i = (B_i ln 2 - lam - u_i) / u_i, and E_i = t_i x_i.  Two boundaries:
+
+* B_i ln 2 <= lam: dU/dE_i = -2**B_i >= -mu already at E_i = 0, so E_i = 0,
+  and t_i = t_min since then dU/dt_i = a_i > 0;
+* a formula time below t_min: minimised over E_i, the cost is convex in t_i
+  and rising on [t_min, inf), so t_i = t_min and the energy condition alone
+  gives E_i = t_min expm1((B_i ln 2 - lam) / (t_min + 1)).
+
+sum_i E_i(lam) falls strictly in lam, so the solve is one safeguarded scalar
+root find plus vectorised closed forms.  The joint projected-gradient
+residual of the returned point certifies convergence independently.
 """
 
 from __future__ import annotations
@@ -33,6 +43,11 @@ from .model import (
 )
 
 _LN2 = math.log(2.0)
+# Above lam = ln(max float) every energised packet's D_i = e**(lam + u_i)
+# overflows, so the root find never looks there.
+_LAM_MAX = math.log(np.finfo(float).max)
+_SNR_STEPS = 5  # four Newton steps reach 1e-14 from the start in _snr
+_ROOT_TOL = 1e-14  # |ln(spent / budget)| at which the root find stops
 
 
 @dataclass(frozen=True)
@@ -41,16 +56,11 @@ class SolverConfig:
 
     max_iters: int = 200_000
     grad_tol: float = 1e-8
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    init_step: float = 1.0
     t_min: float = T_MIN
 
     def __post_init__(self) -> None:
-        if self.max_iters <= 0 or self.grad_tol <= 0 or self.init_step <= 0:
-            raise ValueError("max_iters, grad_tol and init_step must be positive")
-        if not 0 < self.armijo_c < 1 or not 0 < self.backtrack_factor < 1:
-            raise ValueError("armijo_c and backtrack_factor must lie in (0, 1)")
+        if self.max_iters <= 0 or self.grad_tol <= 0:
+            raise ValueError("max_iters and grad_tol must be positive")
         if self.t_min <= 0:
             raise ValueError("t_min must be positive")
 
@@ -97,7 +107,7 @@ def _cost(e, t, bits, a):
 
 def _grad_e(e, t, bits):
     p = np.exp2(bits - _bhat(e, t))
-    return -p * t / (t + e)
+    return -p / (1.0 + e / t)
 
 
 def _grad_t(e, t, bits, a):
@@ -162,16 +172,18 @@ def project_budget(vec: np.ndarray, budget: float) -> np.ndarray:
 
     If clamping to the orthant already satisfies the budget the clamp is the
     projection; otherwise project onto the simplex {x >= 0, sum(x) = budget}
-    by the sort-and-threshold rule (O(n log n)).
+    by the sort-and-threshold rule (O(n log n)).  The support test is written
+    as ``cumsum(u) - k u < budget``, which is exact for the largest entry, so
+    huge entries cannot round every candidate away.
     """
     clamped = np.maximum(vec, 0.0)
     if clamped.sum() <= budget:
         return clamped
     u = np.sort(vec)[::-1]
-    css = np.cumsum(u) - budget
+    cs = np.cumsum(u)
     ks = np.arange(1, len(vec) + 1)
-    k = np.nonzero(u - css / ks > 0)[0][-1]
-    return np.maximum(vec - css[k] / (k + 1.0), 0.0)
+    k = np.nonzero(cs - ks * u < budget)[0][-1]
+    return np.maximum(vec - cs[k] / (k + 1.0) + budget / (k + 1.0), 0.0)
 
 
 def _pg_norm(e, t, bits, a, budget, t_min):
@@ -181,49 +193,83 @@ def _pg_norm(e, t, bits, a, budget, t_min):
     return math.sqrt(float(re @ re + rt @ rt))
 
 
-def _waterfill(t, bits, budget):
-    """Exact energy allocation minimizing the cost for fixed times.
+# ---------------------------------------------------------------------------
+# The dual solve.
 
-    Stationarity in E_i gives 2**B_i * t_i**(t_i+1) * (t_i+E_i)**-(t_i+1)
-    equal to a common multiplier exp(mu) wherever E_i > 0, i.e.
 
-        E_i(mu) = t_i * expm1(max((B_i ln 2 - mu) / (t_i + 1), 0)).
+def _w2(u):
+    """(u + expm1(-u)) / u**2, by its Taylor series where the sum cancels."""
+    series = 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720)))
+    return np.where(u < 1e-2, series, (u + np.expm1(-u)) / u / u)
 
-    The sum is continuous and strictly decreasing in mu, and the marginal
-    value of energy is always positive, so the budget binds: bisect mu until
-    the full budget is spent, then rescale away the last bisection residue.
+
+def _snr(log_c):
+    """u = ln(1 + x) solving e**u (u - 1) + 1 = c, given ln c.
+
+    With w = u + expm1(-u) = e**-u (e**u (u - 1) + 1), F(u) = u + ln w - ln c
+    is increasing and concave (F'' <= 0 reduces to 1 + u <= e**u), so Newton
+    steps from the lower bound u = log1p(sqrt(2c)) rise monotonically to the
+    root.  Logs keep u > 0 representable down to c = e**-lam_max.  Also
+    returns w / u**2 and du/d ln c = 1 / F'(u), both from the last step.
     """
-    mu_hi = float(np.max(bits * _LN2))
-    mu_lo = float(np.min(bits * _LN2 - (t + 1.0) * np.log1p(budget / t)))
-    for _ in range(100):
-        mu = 0.5 * (mu_lo + mu_hi)
-        e = t * np.expm1(np.maximum((bits * _LN2 - mu) / (t + 1.0), 0.0))
-        if e.sum() > budget:
-            mu_lo = mu
-        else:
-            mu_hi = mu
-        if mu_hi - mu_lo < 1e-16 * max(1.0, abs(mu_hi)):
+    u = np.logaddexp(0.0, 0.5 * (log_c + _LN2))
+    for _ in range(_SNR_STEPS):
+        w2 = _w2(u)
+        slope = 1.0 - np.expm1(-u) / u / (u * w2)
+        u = u - (u + 2.0 * np.log(u) + np.log(w2) - log_c) / slope
+    return u, w2, 1.0 / slope
+
+
+def _packets(lam, bits, log_a, t_min):
+    """Every packet's KKT energy, time and dE/dlam at multiplier e**lam."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = bits * _LN2 - lam
+        u, w2, du = _snr(log_a - lam)  # du/dlam = -du, as ln c = ln a - lam
+        r = np.expm1(u) / u  # E = (k - u) r stays finite where t overflows
+        e = (k - u) * r
+        de = (du - 1.0) * r - (k - u) * np.exp(u) * w2 * du
+        t = k / u - 1.0
+        edge = t < t_min  # also every packet with k <= 0
+        e_min = t_min * np.expm1(np.maximum(k, 0.0) / (t_min + 1.0))
+        de_min = np.where(k > 0.0, -(e_min + t_min) / (t_min + 1.0), 0.0)
+    return np.where(edge, e_min, e), np.where(edge, t_min, t), np.where(edge, de_min, de)
+
+
+def _dual_solve(bits, a, budget, cfg):
+    """Newton on g = ln(sum E(lam) / budget), then on sum E itself, then
+    bisection, each kept inside the bracket [lo, hi].  At lo the largest
+    packet alone spends the budget, whether its time is below 1 or not.
+    Returns energies rescaled to spend the budget, times and steps."""
+    hi = min(float(bits.max()) * _LN2, _LAM_MAX)
+    lo = hi - 2.0 * max(budget, math.log1p(budget / cfg.t_min))
+    lam = max(lo, hi - 1.0)
+    for it in range(1, cfg.max_iters + 1):
+        e, t, de = _packets(lam, bits, np.log(a), cfg.t_min)
+        s, ds = float(e.sum()), float(de.sum())
+        g = math.log(s) - math.log(budget)
+        lo, hi = (lo, lam) if g <= 0.0 else (lam, hi)  # nan: sum overflowed
+        nxt = lam - g * s / ds
+        if abs(g) <= _ROOT_TOL or nxt == lam:
             break
-    e = t * np.expm1(np.maximum((bits * _LN2 - mu_hi) / (t + 1.0), 0.0))
-    s = e.sum()
-    if s > 0.0:
-        e *= budget / s
-    return e
+        if not lo < nxt < hi:  # near lam_hi sum E is nearly linear in lam
+            nxt = lam - (s - budget) / ds
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        lam = nxt
+    return e * (budget / s), t, it
 
 
-def solve_fixed_order(
-    inst: Instance,
-    order: Order,
-    cfg: SolverConfig | None = None,
-    cost_trace: list | None = None,
-) -> SolveReport:
+def solve_fixed_order(inst: Instance, order: Order,
+                      cfg: SolverConfig | None = None) -> SolveReport:
     """Solve the continuous problem for one fixed order.
 
     Returns a feasible allocation with joint projected-gradient residual at
     most ``cfg.grad_tol`` (``converged=True``) or gives up after
-    ``cfg.max_iters`` iterations (``converged=False``, never raised).  If
-    ``cost_trace`` is a list, the cost of every accepted iterate is appended
-    to it.
+    ``cfg.max_iters`` root-finder steps (``converged=False``, never raised).
+    Raises :class:`DomainError` when the optimum's distortion of some packet
+    overflows float64.
     """
     cfg = cfg or SolverConfig()
     if order.n != inst.n:
@@ -233,61 +279,15 @@ def solve_fixed_order(
     bits = np.asarray(inst.bits)
     a = delay_coefficients(order)
     budget = inst.energy
-
-    # Scale-aware deterministic start: t_i = B_i / 2; energies then come from
-    # the exact inner minimization, as on every later iterate.
-    t = np.maximum(bits / 2.0, cfg.t_min)
-    e = _waterfill(t, bits, budget)
-    f = _cost(e, t, bits, a)
-    if cost_trace is not None:
-        cost_trace.append(f)
-
-    step = cfg.init_step
-    stalls = 0
+    e, t, it = _dual_solve(bits, a, budget, cfg)
+    with np.errstate(invalid="ignore"):  # nan where t overflowed
+        lost = bits - _bhat(e, t)  # log2 of each distortion
+    over = np.flatnonzero(~(lost < np.finfo(float).maxexp))
+    if over.size:
+        i = over[0]
+        raise DomainError(f"packet {i + 1}: the optimal distortion "
+                          f"2**{lost[i]:.6g} overflows float64")
     pg = _pg_norm(e, t, bits, a, budget, cfg.t_min)
-    it = 0
-    while it < cfg.max_iters and pg > cfg.grad_tol:
-        it += 1
-        g = _grad_t(e, t, bits, a)
-        # Armijo backtracking along the projected-gradient arc in t.  The
-        # machine-relative slack keeps the line search from deadlocking once
-        # the attainable decrease falls below the resolution of f itself.
-        alpha = step
-        slack = 5e-16 * (1.0 + abs(f))
-        accepted = False
-        for _ in range(80):
-            tn = np.maximum(t - alpha * g, cfg.t_min)
-            d = tn - t
-            if not d.any():
-                break
-            en = _waterfill(tn, bits, budget)
-            fn = _cost(en, tn, bits, a)
-            if fn <= f + cfg.armijo_c * float(g @ d) + slack:
-                accepted = True
-                break
-            alpha *= cfg.backtrack_factor
-        if not accepted:
-            # Nothing representable improves; retry from the default step a
-            # couple of times, then settle for the current point.
-            stalls += 1
-            if stalls >= 3:
-                break
-            step = cfg.init_step
-            continue
-        stalls = 0
-        gn = _grad_t(en, tn, bits, a)
-        s = tn - t
-        y = gn - g
-        sy = float(s @ y)
-        if sy > 0.0:
-            step = min(max(float(s @ s) / sy, 1e-14), 1e14)
-        else:
-            step = alpha * 2.0
-        e, t, f = en, tn, fn
-        if cost_trace is not None:
-            cost_trace.append(f)
-        pg = _pg_norm(e, t, bits, a, budget, cfg.t_min)
-
     alloc = ContinuousAllocation(tuple(e), tuple(t), order)
     cost = evaluate_cost(inst, alloc)
     overshoot = tuple(

@@ -86,6 +86,14 @@ def test_bad_inputs_exit_1(capsys, argv):
     assert "error:" in err
 
 
+def test_overflowing_distortion_exits_1_with_one_line(capsys):
+    # at best 2**(1100 - 72) of packet 1 is left, beyond float64
+    code, out, err = run_cli(capsys, "solve", "--bits", "1100", "--energy", "50")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: packet 1") and err.count("\n") == 1
+
+
 def test_solver_override_from_config_and_exit_2(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"max_iters": 1}}))
@@ -104,6 +112,16 @@ def test_unknown_solver_override_rejected(capsys, tmp_path):
         capsys, "solve", "--bits", "5", "--energy", "2", "--config", str(cfg)
     )
     assert code == 1 and "step_size" in err
+
+
+@pytest.mark.parametrize("knob", ["armijo_c", "backtrack_factor", "init_step"])
+def test_removed_line_search_knobs_rejected(capsys, tmp_path, knob):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {knob: 0.5}}))
+    code, out, err = run_cli(
+        capsys, "solve", "--bits", "5", "--energy", "2", "--config", str(cfg)
+    )
+    assert code == 1 and out == "" and knob in err
 
 
 def test_config_supplies_instance_and_flags_win(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Solver tests: gradients against finite differences, curvature blocks,
 convergence on reference instances, and the feasibility/optimality contracts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from edds.csolve import (
     solve_fixed_order,
 )
 from edds.model import (
+    T_MIN,
     ContinuousAllocation,
     DomainError,
     Instance,
@@ -23,6 +25,7 @@ from edds.model import (
     evaluate_cost,
     shannon_bits,
 )
+from edds.order import brute_force_order, spf_order
 
 LN2 = math.log(2.0)
 
@@ -36,6 +39,21 @@ def random_interior_point(rng, n_max=4):
     inst = Instance(tuple(bits), float(2.0 * e.sum() + 1.0))
     order = Order(tuple(rng.permutation(n) + 1))
     return inst, ContinuousAllocation(tuple(e), tuple(t), order)
+
+
+def kkt_residual(inst, alloc, t_min=T_MIN):
+    """||x - Proj(x - grad U(x))|| at unit step, from the public pieces."""
+    g = gradient(inst, alloc)
+    e = np.asarray(alloc.energies)
+    t = np.asarray(alloc.times)
+    re = e - project_budget(e - g[0::2], inst.energy)
+    rt = t - np.maximum(t - g[1::2], t_min)
+    return math.sqrt(float(re @ re + rt @ rt))
+
+
+def random_instance(rng, n):
+    bits = rng.uniform(1.0, 25.0, n)
+    return Instance(tuple(bits), float(rng.uniform(0.5, 4.0) * bits.sum()))
 
 
 def fd_gradient(inst, alloc, h0=1e-3):
@@ -193,6 +211,20 @@ def test_project_budget_is_nearest_feasible_point():
         assert np.linalg.norm(v - p) <= np.linalg.norm(v - z) + 1e-9
 
 
+def test_project_budget_survives_huge_entries():
+    # u - (cumsum(u) - b) / k once rounded the first candidate to 0 here and
+    # left no support at all (IndexError).
+    rng = np.random.default_rng(24)
+    for v, budget, want in [([1e17], 3.0, [3.0]), ([1e30, 5.0], 50.0, [50.0, 0.0])]:
+        v = np.array(v)
+        p = project_budget(v, budget)
+        assert np.all(p >= 0) and p.sum() <= budget * (1 + 1e-12)
+        for _ in range(200):
+            z = budget * rng.uniform() * rng.dirichlet(np.ones(len(v)))
+            assert np.linalg.norm(v - p) <= np.linalg.norm(v - z) + 1e-9
+        assert np.allclose(p, want)
+
+
 # ---------------------------------------------------------------------------
 # solve_fixed_order
 
@@ -201,9 +233,9 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
-        SolverConfig(armijo_c=1.5)
+        SolverConfig(grad_tol=0)
     with pytest.raises(ValueError):
-        SolverConfig(backtrack_factor=1.0)
+        SolverConfig(t_min=0)
 
 
 def test_reference_instance_fifteen_twenty():
@@ -253,14 +285,34 @@ def test_solver_against_scipy_reference():
         assert report.cost.total <= res.fun + 1e-6
 
 
-def test_monotone_descent():
+def exact_energies(t, bits, budget):
+    """The cheapest energies for fixed times: E_i = t_i expm1((B_i ln2 - m)^+ /
+    (t_i + 1)), with the multiplier m bisected until the budget is spent."""
+    lo, hi = float(np.min(bits * LN2 - (t + 1) * np.log1p(budget / t))), float(np.max(bits * LN2))
+    for _ in range(200):
+        m = 0.5 * (lo + hi)
+        e = t * np.expm1(np.maximum((bits * LN2 - m) / (t + 1), 0.0))
+        lo, hi = (m, hi) if e.sum() > budget else (lo, m)
+    return e * (budget / e.sum())
+
+
+def test_answer_beats_old_start_and_random_points():
     inst = Instance((12.0, 20.0, 5.0), 30.0)
-    trace = []
-    solve_fixed_order(inst, Order((2, 3, 1)), cost_trace=trace)
-    diffs = np.diff(trace)
-    # non-increasing up to the documented machine-level slack
-    assert np.all(diffs <= 1e-12 * (1.0 + np.abs(np.asarray(trace[:-1]))))
-    assert trace[-1] < trace[0]
+    order = Order((2, 3, 1))
+    report = solve_fixed_order(inst, order)
+    assert report.converged
+    bits = np.asarray(inst.bits)
+    t0 = bits / 2.0  # the projected-gradient solver's starting point
+    start = evaluate_cost(
+        inst, ContinuousAllocation(tuple(exact_energies(t0, bits, 30.0)), tuple(t0), order)
+    ).total
+    assert report.cost.total < start
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        e = inst.energy * rng.uniform() * rng.dirichlet(np.ones(inst.n))
+        t = rng.uniform(T_MIN, 20.0, inst.n)
+        cand = evaluate_cost(inst, ContinuousAllocation(tuple(e), tuple(t), order)).total
+        assert report.cost.total <= cand
 
 
 def test_energy_used_in_full_on_random_instances():
@@ -321,6 +373,78 @@ def test_overshoot_flagged_when_energy_is_plentiful():
     assert report.converged
     assert report.overshoot == (1,)
     assert report.cost.bhat[0] > 1.0
+
+
+def test_large_instance_converges():
+    inst = random_instance(np.random.default_rng(47), 256)
+    report = solve_fixed_order(inst, spf_order(inst))
+    assert report.converged
+    assert kkt_residual(inst, report.alloc) <= 1e-6
+
+
+def test_iterations_flat_in_n():
+    # root-finder steps on the multiplier, not descent steps on 2n variables
+    rng = np.random.default_rng(53)
+    for n in (4, 64, 256):
+        for _ in range(3):
+            inst = random_instance(rng, n)
+            for order in (spf_order(inst), Order(tuple(rng.permutation(n) + 1))):
+                report = solve_fixed_order(inst, order)
+                assert report.converged
+                assert report.iterations <= 20, (n, report.iterations)
+
+
+def test_zero_energy_packet_sits_on_its_boundary():
+    # 2 bits against 20 on 1 J: the marginal value of the first joule on the
+    # small packet (2**2) is below the multiplier, so it gets none.
+    inst = Instance((2.0, 20.0), 1.0)
+    report = solve_fixed_order(inst, Order((1, 2)))
+    assert report.converged
+    assert report.alloc.energies[0] == 0.0 and report.alloc.times[0] == T_MIN
+    g = gradient(inst, report.alloc)
+    mu = -g[2]  # the active packet's dU/dE is the multiplier
+    assert g[0] >= -mu
+    assert kkt_residual(inst, report.alloc) <= 1e-6
+
+
+def test_t_min_clamped_packet_has_rising_time_gradient():
+    inst = Instance((1.0, 20.0), 30.0)
+    report = solve_fixed_order(inst, Order((1, 2)))
+    assert report.converged
+    assert report.alloc.times[0] == T_MIN and report.alloc.energies[0] > 0.0
+    g = gradient(inst, report.alloc)
+    assert g[1] >= 0.0
+    assert g[0] == pytest.approx(g[2], rel=1e-9)  # same marginal energy value
+    assert kkt_residual(inst, report.alloc) <= 1e-6
+
+
+def test_agrees_with_brute_force_over_orders():
+    rng = np.random.default_rng(59)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            inst = random_instance(rng, n)
+            best_order, best = brute_force_order(inst)
+            costs = {}
+            for perm in itertools.permutations(range(1, n + 1)):
+                report = solve_fixed_order(inst, Order(perm))
+                assert report.converged
+                assert kkt_residual(inst, report.alloc) <= 1e-6
+                costs[perm] = report.cost.total
+            assert best.cost.total == min(costs.values())
+            assert costs[best_order.perm] == best.cost.total
+            # no random schedule, in any order, beats the search
+            for _ in range(100):
+                e = inst.energy * rng.uniform() * rng.dirichlet(np.ones(n))
+                t = rng.uniform(T_MIN, 10.0, n)
+                order = Order(tuple(rng.permutation(n) + 1))
+                cand = evaluate_cost(inst, ContinuousAllocation(tuple(e), tuple(t), order))
+                assert best.cost.total <= cand.total
+
+
+def test_overflowing_distortion_raises_domain_error():
+    # 1100 bits on 50 J: at best 2**(1100 - 72) is left, beyond float64
+    with pytest.raises(DomainError, match="packet 1"):
+        solve_fixed_order(Instance((1100.0,), 50.0), Order((1,)))
 
 
 def test_non_convergence_is_reported_not_raised():

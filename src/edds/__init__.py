@@ -2,10 +2,11 @@
 
 A library and CLI for splitting one energy budget across a batch of packets:
 a convex continuous model (per-packet energies, times and a transmission
-order) solved by projected gradient descent, brute-force and
-shortest-packet-first order search, a discretized resource-block variant
-with a greedy allocator certified against an exhaustive oracle, and a
-property-check engine for the structural facts the algorithms rely on.
+order) solved per order by a root find on the energy multiplier with
+per-packet closed forms, brute-force and shortest-packet-first order search,
+a discretized resource-block variant with a greedy allocator certified
+against an exhaustive oracle, and a property-check engine for the
+structural facts the algorithms rely on.
 """
 
 from .model import (
@@ -46,7 +47,6 @@ from .discrete import (
     discrete_allocation_from_doc,
     discrete_cost,
     greedy_allocate,
-    greedy_multipartition,
     oracle_allocate,
     trace_to_csv,
 )
@@ -93,7 +93,6 @@ __all__ = [
     "discrete_allocation_from_doc",
     "discrete_cost",
     "greedy_allocate",
-    "greedy_multipartition",
     "oracle_allocate",
     "trace_to_csv",
     "PropertyReport",

@@ -17,7 +17,7 @@ import math
 import sys
 
 from .model import Instance, Order, T_MIN, instance_from_doc, shannon_bits
-from .csolve import SolverConfig, solve_fixed_order
+from .csolve import SolveReport, SolverConfig, solve_fixed_order
 from .order import brute_force_order, spf_order
 from .discrete import DiscreteParams, greedy_allocate, oracle_allocate, trace_to_csv
 from .verify import (
@@ -29,6 +29,8 @@ from .verify import (
 )
 
 RATIO_BOUND = 2.0
+# A start:stop:step grid of more points than this is refused before it is built.
+MAX_GRID_POINTS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -67,7 +69,10 @@ def _parse_range(text: str) -> list[float]:
         raise _UsageError(f"expected numeric start:stop:step, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"need step > 0 and stop >= start in {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # also inf and nan
+        raise _UsageError(f"{text!r} has more than {MAX_GRID_POINTS} points")
+    count = int(math.floor(span)) + 1
     return [start + k * step for k in range(count)]
 
 
@@ -108,25 +113,26 @@ def _emit_json(doc: dict) -> None:
 # solve
 
 
+def _solve(args, inst: Instance, cfg: SolverConfig | None) -> SolveReport:
+    """Solve in the --order given, or the one --search picks (default identity)."""
+    if args.search == "brute":
+        return brute_force_order(inst, cfg)[1]
+    if args.order is not None:
+        order = Order(_parse_ints(args.order))
+    elif args.search == "spf":
+        order = spf_order(inst)
+    else:
+        order = Order.identity(inst.n)
+    return solve_fixed_order(inst, order, cfg)
+
+
 def cmd_solve(args) -> int:
     doc = _load_config(args.config)
     inst = _instance_from(args, doc)
     if inst.energy <= 0:
         raise ValueError("the continuous solver needs a positive energy budget")
-    cfg = _solver_config(doc)
-    search = args.search
-    if args.order is not None and search is not None:
-        raise _UsageError("--order and --search are mutually exclusive")
-    if args.order is not None:
-        order = Order(_parse_ints(args.order))
-        report = solve_fixed_order(inst, order, cfg)
-    elif search == "brute":
-        _, report = brute_force_order(inst, cfg)
-    elif search == "spf":
-        report = solve_fixed_order(inst, spf_order(inst), cfg)
-    else:
-        report = solve_fixed_order(inst, Order.identity(inst.n), cfg)
-    out = {"instance": inst.to_doc(), "search": search}
+    report = _solve(args, inst, _solver_config(doc))
+    out = {"instance": inst.to_doc(), "search": args.search}
     out.update(report.to_doc())
     _emit_json(out)
     return 0 if report.converged else 2
@@ -136,22 +142,9 @@ def cmd_solve(args) -> int:
 # sweep
 
 
-def _order_for(args, inst: Instance, cfg: SolverConfig | None):
-    if args.order is not None:
-        return Order(_parse_ints(args.order)), None
-    if args.search == "brute":
-        order, report = brute_force_order(inst, cfg)
-        return order, report
-    if args.search == "spf":
-        return spf_order(inst), None
-    return Order.identity(inst.n), None
-
-
 def cmd_sweep(args) -> int:
     doc = _load_config(args.config)
     cfg = _solver_config(doc)
-    if args.order is not None and args.search is not None:
-        raise _UsageError("--order and --search are mutually exclusive")
     if args.surface:
         return _sweep_surface(args, doc, cfg)
     if not args.fix or not args.vary:
@@ -172,9 +165,7 @@ def cmd_sweep(args) -> int:
     for v in values:
         bits = (fixed, v) if vary_name == "B2" else (v, fixed)
         inst = Instance(bits, float(args.energy))
-        order, report = _order_for(args, inst, cfg)
-        if report is None:
-            report = solve_fixed_order(inst, order, cfg)
+        report = _solve(args, inst, cfg)
         all_converged &= report.converged
         b1, b2 = report.cost.bhat
         lines.append(f"{v!r},{b1!r},{b2!r},{report.cost.total!r}")
@@ -326,18 +317,21 @@ def _build_parser() -> _Parser:
         p.add_argument("--energy", type=float, help="total energy budget in joules")
         p.add_argument("--config", help="JSON file with instance fields and solver overrides")
 
+    def order_flags(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--order", help="explicit positions pi(1..n), e.g. 1,2")
+        group.add_argument("--search", choices=("brute", "spf"), help="order search strategy")
+
     p = sub.add_parser("solve", help="solve the continuous problem")
     instance_flags(p)
-    p.add_argument("--order", help="explicit positions pi(1..n), e.g. 1,2")
-    p.add_argument("--search", choices=("brute", "spf"), help="order search strategy")
+    order_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="CSV experiment grids")
     instance_flags(p)
     p.add_argument("--fix", help="held coordinate, e.g. B1=15")
     p.add_argument("--vary", help="swept coordinate, e.g. B2=1:30:1")
-    p.add_argument("--order", help="explicit positions pi(1..n)")
-    p.add_argument("--search", choices=("brute", "spf"))
+    order_flags(p)
     p.add_argument("--surface", action="store_true", help="emit the (E1,t1) cost surface")
     p.add_argument("--grid-e", dest="grid_e", help="surface energy grid start:stop:step")
     p.add_argument("--grid-t", dest="grid_t", help="surface time grid start:stop:step")
@@ -385,13 +379,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -40,6 +40,7 @@ from .model import (
     Order,
     delay_coefficients,
     evaluate_cost,
+    shannon_bits,
 )
 
 _LN2 = math.log(2.0)
@@ -94,25 +95,13 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Smooth pieces (arrays in, arrays out; no validation on the hot path).
+# Smooth pieces (arrays in, arrays out).
 
 
-def _bhat(e, t):
-    return t * np.log1p(e / t) / _LN2
-
-
-def _cost(e, t, bits, a):
-    return float(np.exp2(bits - _bhat(e, t)).sum() + a @ t)
-
-
-def _grad_e(e, t, bits):
-    p = np.exp2(bits - _bhat(e, t))
-    return -p / (1.0 + e / t)
-
-
-def _grad_t(e, t, bits, a):
-    p = np.exp2(bits - _bhat(e, t))
-    return -p * (np.log1p(e / t) - e / (t + e)) + a
+def _grads(e, t, bits, a):
+    """Per-packet dU/dE and dU/dt."""
+    p = np.exp2(bits - shannon_bits(e, t))
+    return -p / (1.0 + e / t), -p * (np.log1p(e / t) - e / (t + e)) + a
 
 
 def gradient(inst: Instance, alloc: ContinuousAllocation) -> np.ndarray:
@@ -122,49 +111,29 @@ def gradient(inst: Instance, alloc: ContinuousAllocation) -> np.ndarray:
         raise ValueError("allocation size does not match instance")
     e = np.asarray(alloc.energies)
     t = np.asarray(alloc.times)
-    if np.any(t < T_MIN):
-        raise DomainError(f"time must be at least t_min={T_MIN}")
     bits = np.asarray(inst.bits)
     a = delay_coefficients(alloc.order)
     out = np.empty(2 * inst.n)
-    out[0::2] = _grad_e(e, t, bits)
-    out[1::2] = _grad_t(e, t, bits, a)
+    out[0::2], out[1::2] = _grads(e, t, bits, a)
     return out
 
 
 def hessian_block(inst: Instance, packet: int, e: float, t: float, a: float) -> np.ndarray:
-    """The 2x2 curvature block of one packet's cost in (E_i, t_i).
+    """The 2x2 curvature block of one packet's cost in (E_i, t_i), exactly.
 
-    Computed by central differences of the analytic gradient, then
-    symmetrized.  The cost separates across packets up to linear terms, so
-    the full Hessian is block diagonal and these blocks carry all of it.
+    D = 2**B e**-phi with phi = t ln(1 + x), x = e / t, so the block is
+    D (g g^T + [[t, -e], [-e, e**2/t]] / (t + e)**2) with g = grad phi =
+    (1/(1 + x), ln(1 + x) - x/(1 + x)).  The delay a t adds no curvature, and
+    the cost separates across packets, so these blocks carry the Hessian.
     """
     if not 1 <= packet <= inst.n:
         raise ValueError("packet index out of range")
-    if t < T_MIN:
-        raise DomainError(f"time must be at least t_min={T_MIN}")
-    if e < 0:
-        raise DomainError("energy must be non-negative")
-    b = inst.bits[packet - 1]
-
-    def g(ev, tv):
-        p = 2.0 ** (b - tv * math.log1p(ev / tv) / _LN2)
-        ge = -p * tv / (tv + ev)
-        gt = -p * (math.log1p(ev / tv) - ev / (tv + ev)) + a
-        return np.array([ge, gt])
-
-    he = 1e-6 * max(1.0, abs(e))
-    ht = 1e-6 * max(1.0, abs(t))
-    # The formulas extend smoothly to small negative e (they only need
-    # e > -t), so the centered probe below is safe unless e - he would buck
-    # that; fall back to a one-sided difference there.
-    if e - he > -0.5 * t:
-        col_e = (g(e + he, t) - g(e - he, t)) / (2.0 * he)
-    else:
-        col_e = (g(e + he, t) - g(e, t)) / he
-    col_t = (g(e, t + ht) - g(e, t - ht)) / (2.0 * ht)
-    h = np.column_stack([col_e, col_t])
-    return 0.5 * (h + h.T)
+    d = 2.0 ** (inst.bits[packet - 1] - shannon_bits(e, t))  # validates e and t
+    x = e / t
+    g_e, g_t = 1.0 / (1.0 + x), math.log1p(x) - x / (1.0 + x)
+    s = (t + e) ** 2
+    off = d * (g_e * g_t - e / s)
+    return np.array([[d * (g_e * g_e + t / s), off], [off, d * (g_t * g_t + e * e / t / s)]])
 
 
 def project_budget(vec: np.ndarray, budget: float) -> np.ndarray:
@@ -188,8 +157,9 @@ def project_budget(vec: np.ndarray, budget: float) -> np.ndarray:
 
 def _pg_norm(e, t, bits, a, budget, t_min):
     """Joint projected-gradient residual ||x - Proj(x - grad)|| at unit step."""
-    re = e - project_budget(e - _grad_e(e, t, bits), budget)
-    rt = t - np.maximum(t - _grad_t(e, t, bits, a), t_min)
+    g_e, g_t = _grads(e, t, bits, a)
+    re = e - project_budget(e - g_e, budget)
+    rt = t - np.maximum(t - g_t, t_min)
     return math.sqrt(float(re @ re + rt @ rt))
 
 
@@ -281,7 +251,7 @@ def solve_fixed_order(inst: Instance, order: Order,
     budget = inst.energy
     e, t, it = _dual_solve(bits, a, budget, cfg)
     with np.errstate(invalid="ignore"):  # nan where t overflowed
-        lost = bits - _bhat(e, t)  # log2 of each distortion
+        lost = bits - shannon_bits(e, t)  # log2 of each distortion
     over = np.flatnonzero(~(lost < np.finfo(float).maxexp))
     if over.size:
         i = over[0]

@@ -18,9 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .model import InfeasibleError, Instance, SizeError, shannon_bits
+
+# A budget of more quanta than this is refused: the greedy builds a table of
+# Q + 1 floats and takes one step per quantum.
+MAX_QUANTA = 10_000_000
+# The exhaustive oracle's caps on packets, quanta and slots.
+ORACLE_CAPS = (3, 6, 6)
 
 
 @dataclass(frozen=True)
@@ -33,7 +41,7 @@ class DiscreteParams:
     max_slots: int
 
     def __post_init__(self) -> None:
-        if self.slot_len <= 0 or self.quantum <= 0:
+        if not (self.slot_len > 0 and self.quantum > 0):  # also nan
             raise ValueError("slot_len and quantum must be positive")
         if self.budget_quanta < 0 or self.max_slots < 0:
             raise ValueError("budget_quanta and max_slots must be non-negative")
@@ -46,8 +54,14 @@ class DiscreteParams:
         quantum: float,
         max_slots: int | None = None,
     ) -> "DiscreteParams":
-        """Derive the quantum budget Q = floor(E / e) from the instance."""
-        q = int(math.floor(inst.energy / quantum))
+        """Derive the quantum budget Q = floor(E / e) from the instance.
+
+        Raises :class:`SizeError` when E / e exceeds ``MAX_QUANTA``.
+        """
+        ratio = inst.energy / quantum if quantum > 0 else 0.0  # cls rejects the quantum
+        if not ratio <= MAX_QUANTA:  # also inf
+            raise SizeError(f"the budget is {ratio:.6g} quanta, above the cap of {MAX_QUANTA}")
+        q = int(math.floor(ratio))
         return cls(slot_len, quantum, q, q if max_slots is None else max_slots)
 
 
@@ -123,6 +137,7 @@ def trace_to_csv(trace: Sequence[TraceStep]) -> str:
 
 def _slot_bit_table(params: DiscreteParams, r_max: int) -> list[float]:
     """table[r] = bits a slot carries when loaded with r quanta."""
+    # Not shannon_bits: libm's log1p, whose last-ulp ties the greedy's steps rest on.
     ln2 = math.log(2.0)
     return [
         params.slot_len * math.log1p(params.quantum * r / params.slot_len) / ln2
@@ -165,10 +180,12 @@ def discrete_cost(
             f"{params.budget_quanta}"
         )
     r_max = max(alloc.quanta, default=0)
-    # Anchor the table to the public rate function (same formula either way).
-    table = [0.0] + [
-        shannon_bits(params.quantum * r, params.slot_len) for r in range(1, r_max + 1)
-    ]
+    table = [0.0]
+    if r_max:
+        # The public NumPy rate function, not the greedy's libm table, so
+        # that this cost re-derives the greedy's totals independently.
+        r = np.arange(1, r_max + 1)
+        table += shannon_bits(params.quantum * r, params.slot_len).tolist()
     per = _packet_costs(inst.bits, params, alloc.owner, alloc.quanta, table)
     return DiscreteCost(tuple(per), float(sum(per)))
 
@@ -221,17 +238,13 @@ def greedy_allocate(
     per = [2.0 ** b for b in bits]
     total = float(sum(per))
     trace: list[TraceStep] = []
-
-    def bits_at(r: int) -> float:
-        return table[r]
-
     spent = 0
     while spent < params.budget_quanta:
         best: tuple[float, int, int, str, float] | None = None
         for j, (p, r) in enumerate(zip(owner, quanta), start=1):
             i = p - 1
             new_d = (
-                2.0 ** (bits[i] - sent[i] - bits_at(r + 1) + bits_at(r))
+                2.0 ** (bits[i] - sent[i] - table[r + 1] + table[r])
                 + params.slot_len * imax[i]
             )
             cand = (total - per[i] + new_d, j, p, "add", new_d)
@@ -241,7 +254,7 @@ def greedy_allocate(
             j = len(owner) + 1
             for p in range(1, n + 1):
                 i = p - 1
-                new_d = 2.0 ** (bits[i] - sent[i] - bits_at(1)) + params.slot_len * j
+                new_d = 2.0 ** (bits[i] - sent[i] - table[1]) + params.slot_len * j
                 cand = (total - per[i] + new_d, j, p, "open", new_d)
                 if best is None or cand[:3] < best[:3]:
                     best = cand
@@ -252,12 +265,12 @@ def greedy_allocate(
             break
         i = p - 1
         if action == "add":
-            sent[i] += bits_at(quanta[j - 1] + 1) - bits_at(quanta[j - 1])
+            sent[i] += table[quanta[j - 1] + 1] - table[quanta[j - 1]]
             quanta[j - 1] += 1
         else:
             owner.append(p)
             quanta.append(1)
-            sent[i] += bits_at(1)
+            sent[i] += table[1]
             imax[i] = j
         per[i] = new_d
         total = new_total
@@ -281,25 +294,19 @@ def _compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
 def oracle_allocate(
     inst: Instance,
     params: DiscreteParams,
-    bounds: tuple[int, int, int] = (3, 6, 6),
 ) -> tuple[DiscreteAllocation, DiscreteCost]:
     """Exhaustive optimum over contiguous slot prefixes.
 
     Enumerates every owner assignment of slots 1..J (J up to
     min(max_slots, Q)) and every way to split at most Q quanta over them.
-    ``bounds = (n_cap, q_cap, j_cap)`` guards the exponential search.  Ties
+    ``ORACLE_CAPS`` (packets, quanta, slots) guards the exponential search.  Ties
     are broken toward fewer slots, then the lexicographically smallest
     (owner, quanta) pair — the enumeration order.
     """
-    n_cap, q_cap, j_cap = bounds
-    if inst.n > n_cap:
-        raise SizeError(f"oracle is capped at {n_cap} packets, got {inst.n}")
-    if params.budget_quanta > q_cap:
-        raise SizeError(
-            f"oracle is capped at {q_cap} quanta, got {params.budget_quanta}"
-        )
-    if params.max_slots > j_cap:
-        raise SizeError(f"oracle is capped at {j_cap} slots, got {params.max_slots}")
+    sizes = (inst.n, params.budget_quanta, params.max_slots)
+    for what, size, cap in zip(("packets", "quanta", "slots"), sizes, ORACLE_CAPS):
+        if size > cap:
+            raise SizeError(f"oracle is capped at {cap} {what}, got {size}")
 
     bits = inst.bits
     table = _slot_bit_table(params, params.budget_quanta)
@@ -316,34 +323,11 @@ def oracle_allocate(
     return alloc, discrete_cost(inst, params, alloc)
 
 
-def greedy_multipartition(
-    items: Iterable, k: int, cost_fns: Sequence[Callable]
-) -> list[frozenset]:
-    """Assign each item, in the given sequence, to the part whose cost
-    function grows the least by taking it (ties to the smallest part index).
-
-    Returns the resulting disjoint cover as k frozensets.
-    """
-    if len(cost_fns) != k:
-        raise ValueError("need exactly one cost function per part")
-    parts: list[set] = [set() for _ in range(k)]
-    for item in items:
-        best_j = 0
-        best_cost = None
-        for j in range(k):
-            c = cost_fns[j](frozenset(parts[j] | {item}))
-            if best_cost is None or c < best_cost:
-                best_j, best_cost = j, c
-        parts[best_j].add(item)
-    return [frozenset(p) for p in parts]
-
-
 def certificate_sweep() -> Iterator[tuple[Instance, DiscreteParams]]:
     """The oracle-sized instance grid used to certify the greedy's 2x bound.
 
     n in {1,2,3}, B_i in {1,2,3}, slot lengths {0.5, 1}, quanta {0.5, 1} and
-    budgets of 1..6 quanta: 936 instances, all within the oracle's default
-    bounds.
+    budgets of 1..6 quanta: 936 instances, all within ``ORACLE_CAPS``.
     """
     for n in (1, 2, 3):
         for bits in product((1.0, 2.0, 3.0), repeat=n):

@@ -196,10 +196,11 @@ def shannon_bits(energy, time):
     """
     e = np.asarray(energy, dtype=float)
     t = np.asarray(time, dtype=float)
-    if np.any(t < T_MIN):
+    if (t < T_MIN).any():
         raise DomainError(f"time must be at least t_min={T_MIN}")
-    if np.any(e < 0):
+    if (e < 0).any():
         raise DomainError("energy must be non-negative")
+    # NumPy's vectorised rate; discrete._slot_bit_table is the greedy's libm copy.
     out = t * np.log1p(e / t) / _LN2
     return float(out) if out.ndim == 0 else out
 

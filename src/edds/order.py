@@ -21,15 +21,15 @@ N_MAX = 8  # n! solves; 8! = 40320 is the default ceiling.
 
 
 def brute_force_order(
-    inst: Instance, cfg: SolverConfig | None = None, n_max: int = N_MAX
+    inst: Instance, cfg: SolverConfig | None = None
 ) -> tuple[Order, SolveReport]:
     """Solve every permutation and keep the cheapest.
 
     Ties keep the lexicographically smallest permutation (the iteration
     order), so the result is deterministic.
     """
-    if inst.n > n_max:
-        raise SizeError(f"brute force is capped at n_max={n_max} packets, got {inst.n}")
+    if inst.n > N_MAX:
+        raise SizeError(f"brute force is capped at n_max={N_MAX} packets, got {inst.n}")
     best: tuple[Order, SolveReport] | None = None
     for perm in permutations(range(1, inst.n + 1)):
         order = Order(perm)

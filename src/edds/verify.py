@@ -16,9 +16,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .csolve import _cost, hessian_block
-from .discrete import DiscreteParams
-from .model import Instance, Order, SizeError, delay_coefficients
+from .csolve import hessian_block
+from .discrete import DiscreteParams, _slot_bit_table
+from .model import Instance, Order, SizeError, delay_coefficients, shannon_bits
 
 SUPERMODULAR_TOL = 1e-9
 MONOTONE_TOL = 1e-9
@@ -227,7 +227,7 @@ def di_as_set_function(
         for j in range(1, params.max_slots + 1)
         if slot_ownership.get(j) == packet
     )
-    ln2 = math.log(2.0)
+    table = _slot_bit_table(params, levels)
 
     def fn(s: frozenset) -> float:
         sent = 0.0
@@ -240,9 +240,7 @@ def di_as_set_function(
             else:
                 r = sum(1 for (jj, _) in s if jj == j)
             if r:
-                sent += params.slot_len * math.log1p(
-                    params.quantum * r / params.slot_len
-                ) / ln2
+                sent += table[r]
                 imax = j
         d = 2.0 ** (b_i - sent)
         if not distortion_only and imax:
@@ -250,6 +248,11 @@ def di_as_set_function(
         return d
 
     return SetFunction(ground, fn)
+
+
+def _cost(e, t, bits, a) -> float:
+    """The continuous total cost at energies e and times t (arrays)."""
+    return float(np.exp2(bits - shannon_bits(e, t)).sum() + a @ t)
 
 
 def check_convexity(

@@ -226,6 +226,47 @@ def test_surface_grid_validation(capsys, argv):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--bits", "5,5", "--energy", "3"),
+        ("sweep", "--fix", "B1=5", "--vary", "B2=1:3:1", "--energy", "4"),
+        ("sweep", "--surface", "--bits", "15,20", "--energy", "50"),
+    ],
+)
+def test_order_and_search_are_exclusive(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--order", "1,2", "--search", "spf")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1e12 and an unbounded count of grid points
+        ("sweep", "--fix", "B1=5", "--vary", "B2=0:1e12:1", "--energy", "4"),
+        ("sweep", "--fix", "B1=5", "--vary", "B2=0:inf:1", "--energy", "4"),
+        ("sweep", "--surface", "--bits", "15,20", "--energy", "50",
+         "--grid-t", "1:2:1e-9"),
+        # 1e18 quanta, and a quantum that sends E / quantum to inf
+        ("discrete", "--bits", "2", "--energy", "1e15", "--slot-len", "1",
+         "--quantum", "1e-3"),
+        ("discrete", "--bits", "2", "--energy", "1e300", "--slot-len", "1",
+         "--quantum", "1e-300"),
+        ("discrete", "--bits", "2", "--energy", "2", "--slot-len", "1", "--quantum", "0"),
+        ("oracle", "--bits", "2", "--energy", "1e15", "--slot-len", "1",
+         "--quantum", "1e-3"),
+    ],
+)
+def test_oversized_grids_and_budgets_exit_1(capsys, argv):
+    # each guard trips on the size alone, before anything of that size is built
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_discrete_zero_energy(capsys):
     code, out, err = run_cli(
         capsys, "discrete", "--bits", "2", "--energy", "0",

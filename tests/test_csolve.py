@@ -168,6 +168,20 @@ def test_hessian_determinant_closed_form():
     assert all(r == pytest.approx(LN2**2, rel=1e-3) for r in ratios)
 
 
+def test_hessian_block_is_exact():
+    # the closed-form block: its determinant is the closed form to rounding,
+    # also at e = 0 where the energy derivative sits on the domain's edge,
+    # and it is symmetric bit for bit
+    inst = Instance((4.0, 12.0, 7.0), 100.0)
+    for packet, e, t in [(1, 1.0, 1.0), (2, 10.0, 0.5), (3, 3.0, 2.0), (1, 0.0, 1.0)]:
+        p = 2.0 ** (inst.bits[packet - 1] - shannon_bits(e, t))
+        h = hessian_block(inst, packet, e, t, 1.0)
+        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+        closed = p**2 * t / (t + e) ** 2 * math.log1p(e / t) ** 2
+        assert det == pytest.approx(closed, rel=1e-12, abs=0.0)
+        assert np.array_equal(h, h.T)
+
+
 def test_hessian_determinant_vanishes_with_energy():
     inst = Instance((4.0,), 10.0)
     det_small = np.linalg.det(hessian_block(inst, 1, 1e-6, 1.0, 1.0))

@@ -1,5 +1,5 @@
-"""Discrete allocation tests: cost evaluation, the greedy allocator, the
-exhaustive oracle, and the generic multi-partitioner."""
+"""Discrete allocation tests: cost evaluation, the greedy allocator and the
+exhaustive oracle."""
 
 import itertools
 import math
@@ -14,7 +14,6 @@ from edds.discrete import (
     discrete_allocation_from_doc,
     discrete_cost,
     greedy_allocate,
-    greedy_multipartition,
     oracle_allocate,
     trace_to_csv,
 )
@@ -30,6 +29,19 @@ def test_params_validation_and_budget():
     params = DiscreteParams.for_instance(Instance((2.0,), 3.7), 1.0, 0.5)
     assert params.budget_quanta == 7  # floor(3.7 / 0.5)
     assert params.max_slots == 7
+
+
+def test_for_instance_caps_the_budget():
+    # refused on E / quantum alone, before floor() or any table
+    with pytest.raises(SizeError):
+        DiscreteParams.for_instance(Instance((2.0,), 1e15), 1.0, 1e-3)
+    with pytest.raises(SizeError):
+        DiscreteParams.for_instance(Instance((2.0,), 1e300), 1.0, 1e-300)
+    for quantum in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            DiscreteParams.for_instance(Instance((2.0,), 2.0), 1.0, quantum)
+    params = DiscreteParams.for_instance(Instance((2.0,), 1e7), 1.0, 1.0)
+    assert params.budget_quanta == 10_000_000
 
 
 def test_allocation_validation_and_doc_roundtrip():
@@ -225,38 +237,6 @@ def test_trace_csv_shape():
     assert lines[0] == "iteration,action,slot,packet,total_cost"
     assert len(lines) == 3
     assert lines[1].startswith("1,open,1,1,")
-
-
-def test_multipartition_trivial_cases():
-    fns = [lambda s: float(len(s)), lambda s: float(len(s))]
-    assert greedy_multipartition([], 2, fns) == [frozenset(), frozenset()]
-    only = [lambda s: sum(s)]
-    assert greedy_multipartition([3, 1, 2], 1, only) == [frozenset({1, 2, 3})]
-
-
-def test_multipartition_modular_costs_are_exact():
-    # additive (modular) costs: greedy must match the exhaustive optimum
-    weights = [{1: 4.0, 2: 1.0, 3: 2.5}, {1: 1.0, 2: 3.0, 3: 2.0}]
-
-    def make(w):
-        return lambda s: sum(w[i] for i in s)
-
-    fns = [make(w) for w in weights]
-    parts = greedy_multipartition([1, 2, 3], 2, fns)
-    greedy_total = sum(fn(p) for fn, p in zip(fns, parts))
-    best = min(
-        sum(weights[a][i] for i, a in zip((1, 2, 3), assign))
-        for assign in itertools.product((0, 1), repeat=3)
-    )
-    assert greedy_total == pytest.approx(best)
-    assert parts[0] | parts[1] == {1, 2, 3}
-    assert parts[0] & parts[1] == frozenset()
-
-
-def test_multipartition_tie_goes_to_first_part():
-    fns = [lambda s: float(len(s)), lambda s: float(len(s))]
-    parts = greedy_multipartition([1], 2, fns)
-    assert parts == [frozenset({1}), frozenset()]
 
 
 def test_certificate_sweep_shape():

@@ -61,9 +61,6 @@ def test_brute_force_relabel_invariance():
 def test_brute_force_size_cap():
     with pytest.raises(SizeError):
         brute_force_order(Instance((1.0,) * 9, 20.0))
-    # the cap is configurable
-    with pytest.raises(SizeError):
-        brute_force_order(Instance((1.0, 2.0, 3.0), 10.0), n_max=2)
 
 
 def test_agreement_experiment_empty():

@@ -23,6 +23,7 @@ from .discrete import DiscreteParams, greedy_allocate, oracle_allocate, trace_to
 from .verify import (
     SetFunction,
     check_convexity,
+    check_ground_size,
     check_monotone,
     check_supermodular,
     di_as_set_function,
@@ -279,6 +280,7 @@ def cmd_check(args) -> int:
     if not 1 <= args.packet <= inst.n:
         raise _UsageError(f"--packet must lie in 1..{inst.n}")
     cells = args.ground_set
+    check_ground_size(cells)  # before any cell or bit table is built
     slots = max(1, min(params.max_slots, args.check_slots, cells))
     levels = max(1, math.ceil(cells / slots))
     base = DiscreteParams(params.slot_len, params.quantum, params.budget_quanta, slots)

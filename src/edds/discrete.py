@@ -25,7 +25,7 @@ import numpy as np
 from .model import InfeasibleError, Instance, SizeError, shannon_bits
 
 # A budget of more quanta than this is refused: the greedy builds a table of
-# Q + 1 floats and takes one step per quantum.
+# Q + 1 floats and takes one step per quantum, each O(n + load runs).
 MAX_QUANTA = 10_000_000
 # The exhaustive oracle's caps on packets, quanta and slots.
 ORACLE_CAPS = (3, 6, 6)
@@ -203,8 +203,12 @@ def greedy_allocate(
     the least-bad candidate until none is left: the budget is spent, or
     ``max_slots`` is 0 (a full slot cap still leaves adds).
 
-    One candidate only ever changes its own packet's D_i, so candidates are
-    scored incrementally from the per-packet costs.
+    One candidate only ever changes its own packet's D_i, and every slot of a
+    packet with the same load offers the same new D_i, so of those only the
+    first can win the tie-break.  Each round therefore scores one add per
+    load run of a packet's slots (a maximal stretch of equal loads) and one
+    open per packet, from per-packet scores that are recomputed only for the
+    packet that moved: a round costs O(n + load runs), not O(slots).
 
     Guarantees, in both modes (the acceptance gate re-derives each one
     through ``discrete_cost``):
@@ -216,10 +220,15 @@ def greedy_allocate(
     3. The default mode stops with quanta left only when no candidate
        strictly lowers the total; ``spend_all`` stops only when no candidate
        is left.
-    4. An add for a packet goes to its least-loaded slot, because ``log1p``
-       is concave, so each packet's loads never rise along its slots.  They
-       need not differ by at most one: a slot opened late starts at one
-       quantum (B=3, l=0.5, e=0.25, Q=5 gives loads (4, 1)).
+    4. An add for a packet goes to the first slot of one of its load runs,
+       so each packet's loads never rise along its slots.  Usually that run
+       is the least-loaded one, because ``log1p`` is concave, but not at a
+       float tie: once a candidate's change falls below one ulp of the
+       running total, the smaller slot wins at a higher load (B=(24, 25),
+       l=1, e=1, Q=3000: step 300 loads packet 2's slot 1 from 7 to 8 while
+       its other slots hold 6).  Loads need not differ by at most one: a
+       slot opened late starts at one quantum (B=3, l=0.5, e=0.25, Q=5
+       gives loads (4, 1)).
 
     The greedy is not exact, even for one packet.  The default mode can stop
     on a plateau that no single quantum crosses (B=1, l=1, e=1, Q=2 keeps
@@ -230,52 +239,92 @@ def greedy_allocate(
     """
     bits = inst.bits
     n = inst.n
-    table = _slot_bit_table(params, params.budget_quanta)
+    budget = params.budget_quanta
+    slot_len = params.slot_len
+    table = _slot_bit_table(params, budget)
     owner: list[int] = []
     quanta: list[int] = []
     sent = [0.0] * n
     imax = [0] * n
     per = [2.0 ** b for b in bits]
     total = float(sum(per))
+    # Per packet: its slots in order, its load runs as [index into those
+    # slots, load], its adds as (new D_i, slot, run index), one per run, and
+    # the power term of its open (the delay term depends on the slot).
+    slots: list[list[int]] = [[] for _ in range(n)]
+    runs: list[list[list[int]]] = [[] for _ in range(n)]
+    adds: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]
+    open_pow = [0.0] * n
+
+    def rescore(i: int) -> None:
+        head = bits[i] - sent[i]
+        delay = slot_len * imax[i]
+        adds[i] = [
+            (2.0 ** (head - table[r + 1] + table[r]) + delay, slots[i][pos], k)
+            for k, (pos, r) in enumerate(runs[i])
+            if r < budget  # table ends at r = budget, which ends the loop
+        ]
+        open_pow[i] = 2.0 ** (head - table[1])
+
+    if budget:
+        for i in range(n):
+            rescore(i)
     trace: list[TraceStep] = []
     spent = 0
-    while spent < params.budget_quanta:
-        best: tuple[float, int, int, str, float] | None = None
-        for j, (p, r) in enumerate(zip(owner, quanta), start=1):
-            i = p - 1
-            new_d = (
-                2.0 ** (bits[i] - sent[i] - table[r + 1] + table[r])
-                + params.slot_len * imax[i]
-            )
-            cand = (total - per[i] + new_d, j, p, "add", new_d)
-            if best is None or cand[:3] < best[:3]:
-                best = cand
-        if len(owner) < params.max_slots:
-            j = len(owner) + 1
-            for p in range(1, n + 1):
-                i = p - 1
-                new_d = 2.0 ** (bits[i] - sent[i] - table[1]) + params.slot_len * j
-                cand = (total - per[i] + new_d, j, p, "open", new_d)
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
-        if best is None:
+    while spent < budget:
+        j_open = len(owner) + 1
+        can_open = j_open <= params.max_slots
+        open_delay = slot_len * j_open
+        # (new total, slot) decides; packets are visited in order, so a tie
+        # on both keeps the smaller packet.  best_j stays past j_open only
+        # when there is no candidate.
+        best_total, best_j, best_i, best_k, best_d = math.inf, j_open + 1, 0, 0, 0.0
+        for i in range(n):
+            base = total - per[i]
+            for new_d, j, k in adds[i]:
+                v = base + new_d
+                if v < best_total or (v == best_total and j < best_j):
+                    best_total, best_j, best_i, best_k, best_d = v, j, i, k, new_d
+            if can_open:
+                new_d = open_pow[i] + open_delay
+                v = base + new_d
+                if v < best_total or (v == best_total and j_open < best_j):
+                    best_total, best_j, best_i, best_k, best_d = v, j_open, i, 0, new_d
+        if best_j > j_open:
             break
-        new_total, j, p, action, new_d = best
-        if not spend_all and new_total >= total:
+        if not spend_all and best_total >= total:
             break
-        i = p - 1
-        if action == "add":
-            sent[i] += table[quanta[j - 1] + 1] - table[quanta[j - 1]]
-            quanta[j - 1] += 1
-        else:
-            owner.append(p)
+        i, j, k = best_i, best_j, best_k
+        run = runs[i]
+        if j == j_open:
+            action = "open"
+            owner.append(i + 1)
             quanta.append(1)
             sent[i] += table[1]
             imax[i] = j
-        per[i] = new_d
-        total = new_total
+            slots[i].append(j)
+            if not run or run[-1][1] != 1:
+                run.append([len(slots[i]) - 1, 1])
+        else:
+            action = "add"
+            r = quanta[j - 1]
+            sent[i] += table[r + 1] - table[r]
+            quanta[j - 1] = r + 1
+            # The run's first slot leaves it for the run of load r + 1,
+            # which is the one before it or a new one.
+            pos = run[k][0]
+            end = run[k + 1][0] if k + 1 < len(run) else len(slots[i])
+            if pos + 1 < end:
+                run[k][0] = pos + 1
+            else:
+                del run[k]
+            if not (k and run[k - 1][1] == r + 1):
+                run.insert(k, [pos, r + 1])
+        per[i] = best_d
+        total = best_total
         spent += 1
-        trace.append(TraceStep(spent, action, j, p, total))
+        rescore(i)
+        trace.append(TraceStep(spent, action, j, i + 1, total))
 
     alloc = DiscreteAllocation(tuple(owner), tuple(quanta))
     return alloc, discrete_cost(inst, params, alloc), tuple(trace)

@@ -107,10 +107,15 @@ class _Probe:
         return PropertyReport(name, self.trials, self.violations, witness, margin)
 
 
+def check_ground_size(cells: int) -> None:
+    """Refuse a ground set of more than ``_GROUND_MAX`` cells."""
+    if cells > _GROUND_MAX:
+        raise SizeError(f"ground set is capped at {_GROUND_MAX} cells, got {cells}")
+
+
 def _ground_checked(f: SetFunction) -> tuple:
     ground = tuple(f.ground)
-    if len(ground) > _GROUND_MAX:
-        raise SizeError(f"ground set is capped at {_GROUND_MAX} cells, got {len(ground)}")
+    check_ground_size(len(ground))
     return ground
 
 

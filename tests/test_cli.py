@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from edds import cli
 from edds.cli import main
 from edds.model import Instance, allocation_from_doc, instance_from_doc
 from edds.discrete import DiscreteAllocation, discrete_allocation_from_doc
@@ -403,3 +404,17 @@ def test_docs_round_trip_through_model_constructors(capsys):
     )
     d = json.loads(out.split("\n\n")[0])
     assert discrete_allocation_from_doc(d["allocation"]) == DiscreteAllocation((1,), (2,))
+
+
+def test_check_refuses_oversized_ground_set_before_building_it(capsys, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("the ground set was built before the cap was checked")
+
+    monkeypatch.setattr(cli, "di_as_set_function", built)
+    code, out, err = run_cli(
+        capsys, "check", "--bits", "2", "--energy", "2", "--slot-len", "1",
+        "--quantum", "1", "--ground-set", "2000000",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: ground set is capped at 20 cells, got 2000000\n"

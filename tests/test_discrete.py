@@ -3,6 +3,7 @@ exhaustive oracle."""
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,8 @@ from edds.model import InfeasibleError, Instance, SizeError
 from edds.discrete import (
     DiscreteAllocation,
     DiscreteParams,
+    TraceStep,
+    _slot_bit_table,
     certificate_sweep,
     discrete_allocation_from_doc,
     discrete_cost,
@@ -243,3 +246,115 @@ def test_certificate_sweep_shape():
     pairs = list(certificate_sweep())
     assert len(pairs) == 936
     assert all(p.budget_quanta <= 6 and i.n <= 3 for i, p in pairs)
+
+
+def _full_scan_greedy(inst, params, spend_all=False):
+    """Reference greedy: scores every open slot at every step, O(slots) a step."""
+    bits = inst.bits
+    n = inst.n
+    table = _slot_bit_table(params, params.budget_quanta)
+    owner, quanta = [], []
+    sent = [0.0] * n
+    imax = [0] * n
+    per = [2.0 ** b for b in bits]
+    total = float(sum(per))
+    trace = []
+    spent = 0
+    while spent < params.budget_quanta:
+        best = None
+        for j, (p, r) in enumerate(zip(owner, quanta), start=1):
+            i = p - 1
+            new_d = (
+                2.0 ** (bits[i] - sent[i] - table[r + 1] + table[r])
+                + params.slot_len * imax[i]
+            )
+            cand = (total - per[i] + new_d, j, p, "add", new_d)
+            if best is None or cand[:3] < best[:3]:
+                best = cand
+        if len(owner) < params.max_slots:
+            j = len(owner) + 1
+            for p in range(1, n + 1):
+                i = p - 1
+                new_d = 2.0 ** (bits[i] - sent[i] - table[1]) + params.slot_len * j
+                cand = (total - per[i] + new_d, j, p, "open", new_d)
+                if best is None or cand[:3] < best[:3]:
+                    best = cand
+        if best is None:
+            break
+        new_total, j, p, action, new_d = best
+        if not spend_all and new_total >= total:
+            break
+        i = p - 1
+        if action == "add":
+            sent[i] += table[quanta[j - 1] + 1] - table[quanta[j - 1]]
+            quanta[j - 1] += 1
+        else:
+            owner.append(p)
+            quanta.append(1)
+            sent[i] += table[1]
+            imax[i] = j
+        per[i] = new_d
+        total = new_total
+        spent += 1
+        trace.append(TraceStep(spent, action, j, p, total))
+    alloc = DiscreteAllocation(tuple(owner), tuple(quanta))
+    return alloc, discrete_cost(inst, params, alloc), tuple(trace)
+
+
+def _random_runs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 32)
+        bits = tuple(
+            float(rng.randint(1, 40)) if rng.random() < 0.5 else round(rng.uniform(0.5, 60.0), 3)
+            for _ in range(n)
+        )
+        slot_len = rng.choice((0.1, 0.25, 0.5, 1.0, 2.0))
+        quantum = rng.choice((0.25, 0.3, 0.5, 1.0, 2.0))
+        q = rng.randint(0, 700)
+        max_slots = rng.choice((None, rng.randint(0, 40)))
+        inst = Instance(bits, quantum * q)
+        yield inst, DiscreteParams.for_instance(inst, slot_len, quantum, max_slots)
+
+
+def test_greedy_matches_full_scan_reference():
+    # Scoring one add per load run must change no output, not even at float ties.
+    tie = Instance((24.0, 25.0), 3000.0)
+    runs = [
+        *certificate_sweep(),
+        *_random_runs(60, seed=6),
+        (tie, DiscreteParams.for_instance(tie, 1.0, 1.0)),
+    ]
+    for inst, params in runs:
+        for spend_all in (False, True):
+            got = greedy_allocate(inst, params, spend_all)
+            want = _full_scan_greedy(inst, params, spend_all)
+            assert repr(got) == repr(want), (inst, params, spend_all)
+
+
+def test_greedy_float_tie_adds_above_least_loaded_slot():
+    # At step 300 the candidates' changes are below one ulp of the total, so
+    # the tie goes to packet 2's slot 1 at load 7 although its other slots hold 6.
+    inst = Instance((24.0, 25.0), 3000.0)
+    _, _, trace = greedy_allocate(inst, DiscreteParams.for_instance(inst, 1.0, 1.0))
+    owner, quanta = [], []
+    for step in trace[:299]:
+        if step.action == "open":
+            owner.append(step.packet)
+            quanta.append(1)
+        else:
+            quanta[step.slot - 1] += 1
+    step = trace[299]
+    assert (step.action, step.slot, step.packet) == ("add", 1, 2)
+    loads = [r for p, r in zip(owner, quanta) if p == 2]
+    assert loads[0] == 7 and min(loads) == 6
+
+
+def test_greedy_loads_one_slot_with_the_whole_budget():
+    # The last add takes the slot to r = Q, whose next add the bit table cannot score.
+    for q in (1, 2, 9):
+        inst = Instance((40.0,), float(q))
+        params = DiscreteParams(1.0, 1.0, q, 1)
+        alloc, cost, trace = greedy_allocate(inst, params, spend_all=True)
+        assert alloc == DiscreteAllocation((1,), (q,))
+        assert len(trace) == q

@@ -19,7 +19,13 @@ import sys
 from .model import Instance, Order, T_MIN, instance_from_doc, shannon_bits
 from .csolve import SolveReport, SolverConfig, solve_fixed_order
 from .order import brute_force_order, spf_order
-from .discrete import DiscreteParams, greedy_allocate, oracle_allocate, trace_to_csv
+from .discrete import (
+    ORACLE_CAPS,
+    DiscreteParams,
+    greedy_allocate,
+    oracle_allocate,
+    trace_to_csv,
+)
 from .verify import (
     SetFunction,
     check_convexity,
@@ -345,7 +351,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--quantum", type=float, help="energy quantum in joules")
         p.add_argument("--spend-all", dest="spend_all", action="store_true",
                        help="keep spending quanta even when no move improves")
-        p.add_argument("--max-slots", dest="max_slots", type=int, default=default_max_slots)
+        if default_max_slots is None:
+            default = "the quanta budget Q"
+        else:
+            packets, quanta, slots = ORACLE_CAPS
+            default = (f"{default_max_slots}; the oracle is capped at {packets} packets, "
+                       f"{quanta} quanta and {slots} slots")
+        p.add_argument("--max-slots", dest="max_slots", type=int, default=default_max_slots,
+                       help=f"most slots an allocation may occupy (default: {default})")
 
     p = sub.add_parser("discrete", help="greedy resource-block allocation")
     discrete_flags(p)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import InfeasibleError, Instance, SizeError, shannon_bits
+from .model import DomainError, InfeasibleError, Instance, SizeError, shannon_bits
 
 # A budget of more quanta than this is refused: the greedy builds a table of
 # Q + 1 floats and takes one step per quantum, each O(n + load runs).
@@ -145,6 +146,31 @@ def _slot_bit_table(params: DiscreteParams, r_max: int) -> list[float]:
     ]
 
 
+def idle_costs(bits: Sequence[float]) -> list[float]:
+    """Each packet's cost 2**B_i when it sends nothing.
+
+    Raises :class:`DomainError`, naming the packet, once the running sum of
+    these costs leaves float64's range.  A packet's distortion 2**(B_i - sent)
+    never exceeds 2**B_i, so a finite sum keeps every candidate's
+    distortions, and their sum, finite as well.
+    """
+    per = []
+    total = 0.0
+    for i, b in enumerate(bits, start=1):
+        try:
+            d = 2.0 ** b
+        except OverflowError:
+            d = math.inf
+        total += d
+        if not math.isfinite(total):
+            raise DomainError(
+                f"packet {i}: the cost of sending nothing, 2**B summed up to "
+                "this packet, overflows float64"
+            )
+        per.append(d)
+    return per
+
+
 def _packet_costs(
     bits: Sequence[float],
     params: DiscreteParams,
@@ -167,7 +193,12 @@ def _packet_costs(
 def discrete_cost(
     inst: Instance, params: DiscreteParams, alloc: DiscreteAllocation
 ) -> DiscreteCost:
-    """Evaluate D_i per packet and in total; validates the allocation."""
+    """Evaluate D_i per packet and in total; validates the allocation.
+
+    Like the allocators, raises :class:`DomainError` when the cost of
+    sending nothing overflows (``idle_costs``).
+    """
+    idle_costs(inst.bits)
     if any(p > inst.n for p in alloc.owner):
         raise ValueError("an owner exceeds the packet count")
     if alloc.slots > params.max_slots:
@@ -246,7 +277,7 @@ def greedy_allocate(
     quanta: list[int] = []
     sent = [0.0] * n
     imax = [0] * n
-    per = [2.0 ** b for b in bits]
+    per = idle_costs(bits)
     total = float(sum(per))
     # Per packet: its slots in order, its load runs as [index into those
     # slots, load], its adds as (new D_i, slot, run index), one per run, and
@@ -340,6 +371,30 @@ def _compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)  # keys are bounded by ORACLE_CAPS
+def _candidates(n: int, q: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (owner, quanta) prefix of 1..width slots with at most q quanta.
+
+    Rows follow the oracle's enumeration order: J = 1..width slots, then the
+    owner tuples in ``product`` order, then the quanta in ``_compositions``
+    order.  Each row is padded to ``width`` with owner 0 and quanta 0.  Both
+    arrays are read-only int8 (3 packets, 6 quanta and 6 slots make 4095
+    rows, 48 KB).
+    """
+    owners, quanta = [], []
+    for j in range(1, width + 1):
+        comps = np.array(list(_compositions(j, q)), np.int8)
+        # Base-n digits of 0..n**j - 1, the most significant first, as in product().
+        digits = np.arange(n**j)[:, None] // n ** np.arange(j - 1, -1, -1) % n + 1
+        pad = ((0, 0), (0, width - j))
+        owners.append(np.pad(np.repeat(digits.astype(np.int8), len(comps), 0), pad))
+        quanta.append(np.pad(np.tile(comps, (n**j, 1)), pad))
+    table = np.concatenate(owners), np.concatenate(quanta)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def oracle_allocate(
     inst: Instance,
     params: DiscreteParams,
@@ -351,6 +406,18 @@ def oracle_allocate(
     ``ORACLE_CAPS`` (packets, quanta, slots) guards the exponential search.  Ties
     are broken toward fewer slots, then the lexicographically smallest
     (owner, quanta) pair — the enumeration order.
+
+    The candidates come from a cached int8 table (``_candidates``) and are
+    scored in one NumPy pass: D_i = exp2(B_i - bits of packet i's slots) +
+    l * (its last slot), summed over packets.  Each candidate whose vector
+    total lies within 1e-9 * max(1, |m|) of m, the smaller of the
+    do-nothing cost and the least vector total, is then scored again by the
+    scalar ``_packet_costs`` in enumeration order and kept only on a strict
+    ``<`` against the best so far, starting from the do-nothing cost.  The
+    two totals add the same non-negative terms in the same order and differ
+    only where ``exp2`` and ``**`` round differently, a few ulps; so every
+    exact minimiser passes the filter, and the re-check returns the first of
+    them, exactly the answer a scalar scan over all candidates gives.
     """
     sizes = (inst.n, params.budget_quanta, params.max_slots)
     for what, size, cap in zip(("packets", "quanta", "slots"), sizes, ORACLE_CAPS):
@@ -358,16 +425,28 @@ def oracle_allocate(
             raise SizeError(f"oracle is capped at {cap} {what}, got {size}")
 
     bits = inst.bits
-    table = _slot_bit_table(params, params.budget_quanta)
     best_owner: tuple[int, ...] = ()
     best_quanta: tuple[int, ...] = ()
-    best_total = float(sum(2.0 ** b for b in bits))  # J = 0: nothing sent
-    for j in range(1, min(params.max_slots, params.budget_quanta) + 1):
-        for owner in product(range(1, inst.n + 1), repeat=j):
-            for quanta in _compositions(j, params.budget_quanta):
-                total = sum(_packet_costs(bits, params, owner, quanta, table))
-                if total < best_total:
-                    best_owner, best_quanta, best_total = owner, quanta, total
+    best_total = float(sum(idle_costs(bits)))  # J = 0: nothing sent
+    width = min(params.max_slots, params.budget_quanta)
+    if width:
+        table = _slot_bit_table(params, params.budget_quanta)
+        owner, quanta = _candidates(inst.n, params.budget_quanta, width)
+        slot_bits = np.array(table)[quanta]
+        slot = np.arange(1, width + 1)
+        totals = np.zeros(len(owner))
+        for i, b in enumerate(bits):
+            mine = owner == i + 1
+            sent = np.where(mine, slot_bits, 0.0).sum(1)
+            totals += np.exp2(b - sent) + params.slot_len * (mine * slot).max(1)
+        m = np.fmin.reduce(totals, initial=best_total)  # fmin skips nan
+        near = np.flatnonzero(totals <= m + 1e-9 * max(1.0, abs(m)))
+        for c in near.tolist():
+            j = int(np.count_nonzero(quanta[c]))  # padding carries 0 quanta
+            cand = tuple(owner[c, :j].tolist()), tuple(quanta[c, :j].tolist())
+            total = sum(_packet_costs(bits, params, *cand, table))
+            if total < best_total:
+                (best_owner, best_quanta), best_total = cand, total
     alloc = DiscreteAllocation(best_owner, best_quanta)
     return alloc, discrete_cost(inst, params, alloc)
 

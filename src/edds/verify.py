@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .csolve import hessian_block
-from .discrete import DiscreteParams, _slot_bit_table
+from .discrete import DiscreteParams, _slot_bit_table, idle_costs
 from .model import Instance, Order, SizeError, delay_coefficients, shannon_bits
 
 SUPERMODULAR_TOL = 1e-9
@@ -221,6 +221,7 @@ def di_as_set_function(
     """
     if not 1 <= packet <= inst.n:
         raise ValueError("packet index out of range")
+    idle_costs(inst.bits)
     levels = params.budget_quanta if max_level is None else max_level
     levels = max(levels, 0)
     ground = tuple(

@@ -418,3 +418,18 @@ def test_check_refuses_oversized_ground_set_before_building_it(capsys, monkeypat
     assert code == 1
     assert out == ""
     assert err == "error: ground set is capped at 20 cells, got 2000000\n"
+
+
+@pytest.mark.parametrize("command", ["discrete", "oracle", "check"])
+@pytest.mark.parametrize("bits", ["1100", "1023.5,1023.5"])
+def test_overflowing_idle_cost_exits_1_with_one_line(capsys, command, bits):
+    # 2**1100 overflows on its own; 2**1023.5 twice overflows only in the sum,
+    # which must not reach the output as "total": Infinity (nor the oracle's
+    # ratio as a false alarm, exit 3).
+    code, out, err = run_cli(
+        capsys, command, "--bits", bits, "--energy", "2", "--slot-len", "1",
+        "--quantum", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: packet ")

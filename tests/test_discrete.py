@@ -9,9 +9,12 @@ import pytest
 
 from edds.model import InfeasibleError, Instance, SizeError
 from edds.discrete import (
+    ORACLE_CAPS,
     DiscreteAllocation,
     DiscreteParams,
     TraceStep,
+    _compositions,
+    _packet_costs,
     _slot_bit_table,
     certificate_sweep,
     discrete_allocation_from_doc,
@@ -358,3 +361,59 @@ def test_greedy_loads_one_slot_with_the_whole_budget():
         alloc, cost, trace = greedy_allocate(inst, params, spend_all=True)
         assert alloc == DiscreteAllocation((1,), (q,))
         assert len(trace) == q
+
+
+def _full_scan_oracle(inst, params):
+    """Reference oracle: scores every candidate with the scalar cost, in order."""
+    bits = inst.bits
+    table = _slot_bit_table(params, params.budget_quanta)
+    best_owner = ()
+    best_quanta = ()
+    best_total = float(sum(2.0 ** b for b in bits))  # J = 0: nothing sent
+    for j in range(1, min(params.max_slots, params.budget_quanta) + 1):
+        for owner in itertools.product(range(1, inst.n + 1), repeat=j):
+            for quanta in _compositions(j, params.budget_quanta):
+                total = sum(_packet_costs(bits, params, owner, quanta, table))
+                if total < best_total:
+                    best_owner, best_quanta, best_total = owner, quanta, total
+    alloc = DiscreteAllocation(best_owner, best_quanta)
+    return alloc, discrete_cost(inst, params, alloc)
+
+
+def _random_oracle_inputs(count, seed):
+    """Instances inside ORACLE_CAPS: equal bits (exact and last-ulp ties),
+    Q = 0, S = 0, S below and above Q, and non-integer B, l and e."""
+    rng = random.Random(seed)
+    n_cap, q_cap, s_cap = ORACLE_CAPS
+    for k in range(count):
+        n = rng.randint(1, n_cap)
+        kind = k % 4
+        if kind == 0:  # all packets the same size
+            bits = (rng.choice((1.0, 2.0, 3.0, round(rng.uniform(0.1, 12.0), 4))),) * n
+        elif kind == 1:
+            bits = tuple(float(rng.randint(1, 4)) for _ in range(n))
+        elif kind == 2:
+            bits = tuple(rng.uniform(0.01, 30.0) for _ in range(n))
+        else:  # wide ranges: near the float64 edge, or far below one bit
+            bits = tuple(rng.choice((rng.uniform(900.0, 1020.0), rng.uniform(1e-3, 0.5)))
+                         for _ in range(n))
+        slot_len = rng.choice((0.5, 1.0, 0.3, rng.uniform(0.05, 4.0)))
+        quantum = rng.choice((0.5, 1.0, 0.7, rng.uniform(0.05, 8.0)))
+        q = rng.randint(0, q_cap)
+        s = rng.randint(0, s_cap)
+        yield Instance(bits, quantum * q), DiscreteParams(slot_len, quantum, q, s)
+
+
+def test_oracle_matches_full_scan_reference():
+    # Scoring every candidate in one vector pass, then re-checking the near
+    # minimisers with the scalar cost, must return exactly the full scan's answer.
+    shapes = set()
+    for inst, params in [*certificate_sweep(), *_random_oracle_inputs(1000, seed=7)]:
+        got = oracle_allocate(inst, params)
+        want = _full_scan_oracle(inst, params)
+        assert repr(got) == repr(want), (inst, params)
+        q, s = params.budget_quanta, params.max_slots
+        shapes.add((len(set(inst.bits)) < inst.n, q == 0, s == 0, s < q, s > q))
+    # the draws reached equal bits, Q = 0, S = 0, S < Q and S > Q
+    for flag in range(5):
+        assert any(shape[flag] for shape in shapes)

@@ -3,6 +3,7 @@ experiment."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edds.model import Instance, Order, SizeError
 from edds.order import (
@@ -96,3 +97,23 @@ def test_agreement_experiment_serialization():
 def test_agreement_experiment_size_cap():
     with pytest.raises(SizeError):
         spf_agreement_experiment(1, rng_seed=0, n=9)
+
+
+_sizes = st.one_of(
+    st.floats(0.5, 40.0),
+    st.integers(1, 5).map(float),  # small integers make equal sizes common
+)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    bits=st.integers(1, 5).flatmap(lambda n: st.lists(_sizes, min_size=n, max_size=n)),
+    scale=st.floats(-3.0, 3.0),
+)
+def test_spf_is_optimal(bits, scale):
+    # The order module's Lagrangian proof: no order costs less than SPF, for
+    # any sizes (ties included) and budgets from 1e-3 to 1e3 x the total bits.
+    inst = Instance(tuple(bits), 10.0 ** scale * sum(bits))
+    spf_cost = solve_fixed_order(inst, spf_order(inst)).cost.total
+    _, best = brute_force_order(inst)
+    assert abs(spf_cost - best.cost.total) <= 1e-9 * best.cost.total

@@ -5,8 +5,9 @@ Subcommands: ``solve`` (continuous solver, optional order search), ``sweep``
 ``oracle`` (exhaustive optimum plus greedy/optimal ratio) and ``check``
 (property probes).  All output is deterministic given the flags and seeds.
 
-Exit codes: 0 success, 1 usage or invalid input, 2 solver non-convergence,
-3 greedy/oracle ratio above the certified bound.
+Exit codes: 0 success, 1 usage or invalid input, 2 solver non-convergence
+(with one ``warning:`` line on stderr), 3 greedy/oracle ratio above the
+certified bound.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import sys
 
 from .model import Instance, Order, T_MIN, instance_from_doc, shannon_bits
-from .csolve import SolveReport, SolverConfig, solve_fixed_order
+from .csolve import GAP_TOL, SolveReport, SolverConfig, solve_fixed_order
 from .order import brute_force_order, spf_order
 from .discrete import (
     ORACLE_CAPS,
@@ -51,18 +52,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind=float) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(","))
+        return tuple(kind(x) for x in text.split(","))
     except ValueError:
-        raise _UsageError(f"expected a comma-separated list of numbers, got {text!r}")
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise _UsageError(f"expected a comma-separated list of integers, got {text!r}")
+        noun = "numbers" if kind is float else "integers"
+        raise _UsageError(f"expected a comma-separated list of {noun}, got {text!r}")
 
 
 def _parse_range(text: str) -> list[float]:
@@ -94,7 +89,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def _instance_from(args, doc: dict) -> Instance:
-    bits = _parse_floats(args.bits) if args.bits else doc.get("bits")
+    bits = _parse_list(args.bits) if args.bits else doc.get("bits")
     energy = args.energy if args.energy is not None else doc.get("energy")
     if bits is None or energy is None:
         raise _UsageError("need --bits and --energy (flags or config)")
@@ -105,8 +100,7 @@ def _solver_config(doc: dict) -> SolverConfig | None:
     overrides = doc.get("solver")
     if not overrides:
         return None
-    allowed = {"max_iters", "grad_tol", "t_min"}
-    bad = set(overrides) - allowed
+    bad = set(overrides) - {"max_iters"}
     if bad:
         raise _UsageError(f"unknown solver overrides: {sorted(bad)}")
     return SolverConfig(**overrides)
@@ -114,6 +108,12 @@ def _solver_config(doc: dict) -> SolverConfig | None:
 
 def _emit_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _unconverged(what: str) -> int:
+    """Exit code 2, after one stderr line on what missed GAP_TOL."""
+    sys.stderr.write(f"warning: {what} above the tolerance {GAP_TOL:g}\n")
+    return 2
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def _solve(args, inst: Instance, cfg: SolverConfig | None) -> SolveReport:
     if args.search == "brute":
         return brute_force_order(inst, cfg)[1]
     if args.order is not None:
-        order = Order(_parse_ints(args.order))
+        order = Order(_parse_list(args.order, int))
     elif args.search == "spf":
         order = spf_order(inst)
     else:
@@ -136,13 +136,14 @@ def _solve(args, inst: Instance, cfg: SolverConfig | None) -> SolveReport:
 def cmd_solve(args) -> int:
     doc = _load_config(args.config)
     inst = _instance_from(args, doc)
-    if inst.energy <= 0:
-        raise ValueError("the continuous solver needs a positive energy budget")
     report = _solve(args, inst, _solver_config(doc))
     out = {"instance": inst.to_doc(), "search": args.search}
     out.update(report.to_doc())
     _emit_json(out)
-    return 0 if report.converged else 2
+    if report.converged:
+        return 0
+    return _unconverged(f"not converged after {report.iterations} multiplier steps: "
+                        f"relative duality gap {report.duality_gap:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +169,17 @@ def cmd_sweep(args) -> int:
     if args.energy is None:
         raise _UsageError("sweep needs --energy")
     lines = [f"{vary_name},bhat1,bhat2,total"]
-    all_converged = True
+    bad = 0
     for v in values:
         bits = (fixed, v) if vary_name == "B2" else (v, fixed)
         inst = Instance(bits, float(args.energy))
         report = _solve(args, inst, cfg)
-        all_converged &= report.converged
+        bad += not report.converged
         b1, b2 = report.cost.bhat
         lines.append(f"{v!r},{b1!r},{b2!r},{report.cost.total!r}")
     sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if all_converged else 2
+    return _unconverged(f"{bad} of {len(values)} points did not converge: "
+                        "relative duality gap") if bad else 0
 
 
 def _sweep_surface(args, doc: dict, cfg: SolverConfig | None) -> int:
@@ -199,7 +201,7 @@ def _sweep_surface(args, doc: dict, cfg: SolverConfig | None) -> int:
     if t_grid[0] < T_MIN:
         raise _UsageError(f"--grid-t must start at or above t_min={T_MIN}")
     lines = ["e1,t1,u1,u2"]
-    all_converged = True
+    bad = 0
     for e1 in e_grid:
         if e1 < 0 or e1 > energy + 1e-12:
             raise _UsageError("--grid-e must stay within [0, energy]")
@@ -208,7 +210,7 @@ def _sweep_surface(args, doc: dict, cfg: SolverConfig | None) -> int:
             # The tail subproblem (packet 2 alone with the leftover energy)
             # fixes t2 and bhat2 for this column of the surface.
             rep = solve_fixed_order(Instance((b2,), e2), Order.identity(1), cfg)
-            all_converged &= rep.converged
+            bad += not rep.converged
             t2 = rep.alloc.times[0]
             bhat2 = rep.cost.bhat[0]
         else:
@@ -218,7 +220,8 @@ def _sweep_surface(args, doc: dict, cfg: SolverConfig | None) -> int:
             u2 = 2.0 ** (b2 - bhat2) + t1 + t2
             lines.append(f"{e1!r},{t1!r},{u1!r},{u2!r}")
     sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if all_converged else 2
+    return _unconverged(f"{bad} of {len(e_grid)} columns did not converge: "
+                        "relative duality gap") if bad else 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ t_i = (B_i ln 2 - lam - u_i) / u_i, and E_i = t_i x_i.  Two boundaries:
   gives E_i = t_min expm1((B_i ln 2 - lam) / (t_min + 1)).
 
 sum_i E_i(lam) falls strictly in lam, so the solve is one safeguarded scalar
-root find plus vectorised closed forms.  The joint projected-gradient
-residual of the returned point certifies convergence independently.
+root find plus vectorised closed forms.  At the last lam these minimise the
+Lagrangian U + mu (sum_i E_i - E), so g = sum_i (D_i + a_i t_i + mu E_i) - mu E
+bounds the optimum from below and the cost P of the point rescaled to spend
+E from above: the relative duality gap (P - g) / P certifies it at any scale.
 """
 
 from __future__ import annotations
@@ -49,21 +51,18 @@ _LN2 = math.log(2.0)
 _LAM_MAX = math.log(np.finfo(float).max)
 _SNR_STEPS = 5  # four Newton steps reach 1e-14 from the start in _snr
 _ROOT_TOL = 1e-14  # |ln(spent / budget)| at which the root find stops
+GAP_TOL = 1e-12  # relative duality gap that certifies an answer
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for :func:`solve_fixed_order`."""
+    """The one knob of :func:`solve_fixed_order`: its most multiplier steps."""
 
     max_iters: int = 200_000
-    grad_tol: float = 1e-8
-    t_min: float = T_MIN
 
     def __post_init__(self) -> None:
-        if self.max_iters <= 0 or self.grad_tol <= 0:
-            raise ValueError("max_iters and grad_tol must be positive")
-        if self.t_min <= 0:
-            raise ValueError("t_min must be positive")
+        if not (isinstance(self.max_iters, int) and self.max_iters > 0):
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class SolveReport:
     alloc: ContinuousAllocation
     cost: CostBreakdown
     iterations: int
-    final_pg_norm: float
+    duality_gap: float
     converged: bool
     energy_slack: float
     overshoot: tuple[int, ...]
@@ -87,7 +86,7 @@ class SolveReport:
             "alloc": self.alloc.to_doc(),
             "cost": self.cost.to_doc(),
             "iterations": self.iterations,
-            "final_pg_norm": self.final_pg_norm,
+            "duality_gap": self.duality_gap,
             "converged": self.converged,
             "energy_slack": self.energy_slack,
             "overshoot": list(self.overshoot),
@@ -98,12 +97,6 @@ class SolveReport:
 # Smooth pieces (arrays in, arrays out).
 
 
-def _grads(e, t, bits, a):
-    """Per-packet dU/dE and dU/dt."""
-    p = np.exp2(bits - shannon_bits(e, t))
-    return -p / (1.0 + e / t), -p * (np.log1p(e / t) - e / (t + e)) + a
-
-
 def gradient(inst: Instance, alloc: ContinuousAllocation) -> np.ndarray:
     """Analytic gradient of the total cost, interleaved as
     (dU/dE_1, dU/dt_1, dU/dE_2, dU/dt_2, ...)."""
@@ -111,10 +104,10 @@ def gradient(inst: Instance, alloc: ContinuousAllocation) -> np.ndarray:
         raise ValueError("allocation size does not match instance")
     e = np.asarray(alloc.energies)
     t = np.asarray(alloc.times)
-    bits = np.asarray(inst.bits)
-    a = delay_coefficients(alloc.order)
+    p = np.exp2(np.asarray(inst.bits) - shannon_bits(e, t))
     out = np.empty(2 * inst.n)
-    out[0::2], out[1::2] = _grads(e, t, bits, a)
+    out[0::2] = -p / (1.0 + e / t)
+    out[1::2] = -p * (np.log1p(e / t) - e / (t + e)) + delay_coefficients(alloc.order)
     return out
 
 
@@ -155,14 +148,6 @@ def project_budget(vec: np.ndarray, budget: float) -> np.ndarray:
     return np.maximum(vec - cs[k] / (k + 1.0) + budget / (k + 1.0), 0.0)
 
 
-def _pg_norm(e, t, bits, a, budget, t_min):
-    """Joint projected-gradient residual ||x - Proj(x - grad)|| at unit step."""
-    g_e, g_t = _grads(e, t, bits, a)
-    re = e - project_budget(e - g_e, budget)
-    rt = t - np.maximum(t - g_t, t_min)
-    return math.sqrt(float(re @ re + rt @ rt))
-
-
 # ---------------------------------------------------------------------------
 # The dual solve.
 
@@ -190,7 +175,7 @@ def _snr(log_c):
     return u, w2, 1.0 / slope
 
 
-def _packets(lam, bits, log_a, t_min):
+def _packets(lam, bits, log_a):
     """Every packet's KKT energy, time and dE/dlam at multiplier e**lam."""
     with np.errstate(over="ignore", invalid="ignore"):
         k = bits * _LN2 - lam
@@ -199,22 +184,24 @@ def _packets(lam, bits, log_a, t_min):
         e = (k - u) * r
         de = (du - 1.0) * r - (k - u) * np.exp(u) * w2 * du
         t = k / u - 1.0
-        edge = t < t_min  # also every packet with k <= 0
-        e_min = t_min * np.expm1(np.maximum(k, 0.0) / (t_min + 1.0))
-        de_min = np.where(k > 0.0, -(e_min + t_min) / (t_min + 1.0), 0.0)
-    return np.where(edge, e_min, e), np.where(edge, t_min, t), np.where(edge, de_min, de)
+        edge = t < T_MIN  # also every packet with k <= 0
+        e_min = T_MIN * np.expm1(np.maximum(k, 0.0) / (T_MIN + 1.0))
+        de_min = np.where(k > 0.0, -(e_min + T_MIN) / (T_MIN + 1.0), 0.0)
+    return np.where(edge, e_min, e), np.where(edge, T_MIN, t), np.where(edge, de_min, de)
 
 
-def _dual_solve(bits, a, budget, cfg):
+def _dual_solve(bits, a, budget, max_iters):
     """Newton on g = ln(sum E(lam) / budget), then on sum E itself, then
     bisection, each kept inside the bracket [lo, hi].  At lo the largest
     packet alone spends the budget, whether its time is below 1 or not.
-    Returns energies rescaled to spend the budget, times and steps."""
+    Returns the last lam, its energies and times, their sum and the steps."""
     hi = min(float(bits.max()) * _LN2, _LAM_MAX)
-    lo = hi - 2.0 * max(budget, math.log1p(budget / cfg.t_min))
-    lam = max(lo, hi - 1.0)
-    for it in range(1, cfg.max_iters + 1):
-        e, t, de = _packets(lam, bits, np.log(a), cfg.t_min)
+    lo = hi - 2.0 * max(budget, math.log1p(budget / T_MIN))
+    log_a = np.log(a)
+    nxt = max(lo, hi - 1.0)
+    for it in range(1, max_iters + 1):
+        lam = nxt
+        e, t, de = _packets(lam, bits, log_a)
         s, ds = float(e.sum()), float(de.sum())
         g = math.log(s) - math.log(budget)
         lo, hi = (lo, lam) if g <= 0.0 else (lam, hi)  # nan: sum overflowed
@@ -227,19 +214,20 @@ def _dual_solve(bits, a, budget, cfg):
             nxt = 0.5 * (lo + hi)
             if not lo < nxt < hi:
                 break
-        lam = nxt
-    return e * (budget / s), t, it
+    return lam, e, t, s, it
 
 
 def solve_fixed_order(inst: Instance, order: Order,
                       cfg: SolverConfig | None = None) -> SolveReport:
     """Solve the continuous problem for one fixed order.
 
-    Returns a feasible allocation with joint projected-gradient residual at
-    most ``cfg.grad_tol`` (``converged=True``) or gives up after
-    ``cfg.max_iters`` root-finder steps (``converged=False``, never raised).
-    Raises :class:`DomainError` when the optimum's distortion of some packet
-    overflows float64.
+    Returns the closed forms at the last multiplier, energies scaled to spend
+    the budget.  ``duality_gap`` is (P - g) / P: their cost P less the dual
+    bound g at that multiplier, relative to P.  ``converged`` says the gap is
+    at most ``GAP_TOL`` in size (one far below zero is rounding, not a
+    bound); after ``cfg.max_iters`` steps without that it is False, never
+    raised.  Raises :class:`DomainError`, naming the packet, once the running
+    sum of the optimum's distortions overflows float64.
     """
     cfg = cfg or SolverConfig()
     if order.n != inst.n:
@@ -249,17 +237,24 @@ def solve_fixed_order(inst: Instance, order: Order,
     bits = np.asarray(inst.bits)
     a = delay_coefficients(order)
     budget = inst.energy
-    e, t, it = _dual_solve(bits, a, budget, cfg)
+    lam, raw, t, spent, it = _dual_solve(bits, a, budget, cfg.max_iters)
+    e = raw * (budget / spent)
     with np.errstate(invalid="ignore"):  # nan where t overflowed
-        lost = bits - shannon_bits(e, t)  # log2 of each distortion
+        lost = np.logaddexp2.accumulate(bits - shannon_bits(e, t))  # log2 running sums
     over = np.flatnonzero(~(lost < np.finfo(float).maxexp))
     if over.size:
         i = over[0]
-        raise DomainError(f"packet {i + 1}: the optimal distortion "
-                          f"2**{lost[i]:.6g} overflows float64")
-    pg = _pg_norm(e, t, bits, a, budget, cfg.t_min)
+        raise DomainError(f"packet {i + 1}: the optimal distortion, summed up to this "
+                          f"packet, 2**{lost[i]:.6g} overflows float64")
     alloc = ContinuousAllocation(tuple(e), tuple(t), order)
     cost = evaluate_cost(inst, alloc)
+    # P - g = sum_i D_i expm1(ln 2 (bhat_i - bhat'_i)) + mu (E - spent), D_i and
+    # bhat_i at the raw energies: the delays cancel, ln 2 (bhat_i - bhat'_i) =
+    # t log1p(dE / (t + E')) and D_i = D'_i e**-that, so nothing large cancels.
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not converged
+        nats = t * np.log1p((raw - e) / (t + e))
+        gap = -float(np.asarray(cost.distortions) @ np.expm1(-nats))
+        gap = (gap + math.exp(lam) * (budget - spent)) / cost.total
     overshoot = tuple(
         i + 1 for i in range(inst.n) if cost.bhat[i] > inst.bits[i] + 1e-12
     )
@@ -267,8 +262,8 @@ def solve_fixed_order(inst: Instance, order: Order,
         alloc=alloc,
         cost=cost,
         iterations=it,
-        final_pg_norm=pg,
-        converged=bool(pg <= cfg.grad_tol),
+        duality_gap=gap,
+        converged=bool(abs(gap) <= GAP_TOL),
         energy_slack=float(budget - e.sum()),
         overshoot=overshoot,
     )

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import DomainError, InfeasibleError, Instance, SizeError, shannon_bits
+from .model import T_MIN, DomainError, InfeasibleError, Instance, SizeError, shannon_bits
 
 # A budget of more quanta than this is refused: the greedy builds a table of
 # Q + 1 floats and takes one step per quantum, each O(n + load runs).
@@ -42,8 +42,10 @@ class DiscreteParams:
     max_slots: int
 
     def __post_init__(self) -> None:
-        if not (self.slot_len > 0 and self.quantum > 0):  # also nan
-            raise ValueError("slot_len and quantum must be positive")
+        if not T_MIN <= self.slot_len < math.inf:  # also nan
+            raise ValueError(f"slot_len must be finite and >= {T_MIN}, got {self.slot_len!r}")
+        if not 0.0 < self.quantum < math.inf:
+            raise ValueError(f"quantum must be positive and finite, got {self.quantum!r}")
         if self.budget_quanta < 0 or self.max_slots < 0:
             raise ValueError("budget_quanta and max_slots must be non-negative")
 

@@ -115,7 +115,9 @@ def test_unknown_solver_override_rejected(capsys, tmp_path):
     assert code == 1 and "step_size" in err
 
 
-@pytest.mark.parametrize("knob", ["armijo_c", "backtrack_factor", "init_step"])
+@pytest.mark.parametrize(
+    "knob", ["armijo_c", "backtrack_factor", "init_step", "grad_tol", "t_min"]
+)
 def test_removed_line_search_knobs_rejected(capsys, tmp_path, knob):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {knob: 0.5}}))
@@ -123,6 +125,53 @@ def test_removed_line_search_knobs_rejected(capsys, tmp_path, knob):
         capsys, "solve", "--bits", "5", "--energy", "2", "--config", str(cfg)
     )
     assert code == 1 and out == "" and knob in err
+
+
+@pytest.mark.parametrize("value", [1.5, "5", 0])
+def test_non_integer_max_iters_exits_1(capsys, tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"max_iters": value}}))
+    code, out, err = run_cli(
+        capsys, "solve", "--bits", "5", "--energy", "2", "--config", str(cfg)
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: max_iters")
+
+
+@pytest.mark.parametrize("bits, energy", [("30,30,30", "1e-3"), ("60,80,100", "50")])
+def test_huge_multiplier_answers_are_certified(capsys, bits, energy):
+    # the root is found in 5 and 8 steps at mu near 1e9 and 1e17; these
+    # exited 2 while convergence was an absolute residual, which float64
+    # cannot resolve at that scale
+    code, doc = solve_json(capsys, "solve", "--bits", bits, "--energy", energy)
+    assert code == 0
+    assert doc["converged"] is True and doc["iterations"] <= 10
+    assert abs(doc["duality_gap"]) <= 1e-12
+
+
+def test_exit_2_says_why_on_stderr(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"max_iters": 1}}))
+    argv = ("solve", "--bits", "15,20", "--energy", "50")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert json.loads(out)["duality_gap"] > 1e-12
+    assert err.count("\n") == 1 and err.startswith("warning: not converged after 1 ")
+    assert "relative duality gap" in err and "1e-12" in err
+    code, out, err = run_cli(
+        capsys, "sweep", "--fix", "B1=15", "--vary", "B2=18:22:2", "--energy", "50",
+        "--config", str(cfg),
+    )
+    assert code == 2
+    assert len(out.splitlines()) == 4  # the CSV is written all the same
+    assert err.count("\n") == 1 and err.startswith("warning: 3 of 3 points did not converge")
+    code, out, err = run_cli(
+        capsys, "sweep", "--bits", "6,9", "--energy", "12", "--surface",
+        "--grid-e", "0:12:6", "--grid-t", "1:2:1", "--config", str(cfg),
+    )
+    assert code == 2
+    # the last column leaves packet 2 no energy and no tail solve
+    assert err.count("\n") == 1 and err.startswith("warning: 2 of 3 columns did not converge")
 
 
 def test_config_supplies_instance_and_flags_win(capsys, tmp_path):
@@ -433,3 +482,28 @@ def test_overflowing_idle_cost_exits_1_with_one_line(capsys, command, bits):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: packet ")
+
+
+def test_overflowing_optimal_total_exits_1_with_one_line(capsys):
+    # each optimal distortion is finite, their sum 2**1024.9 is not; this
+    # printed "total": Infinity
+    code, out, err = run_cli(capsys, "solve", "--bits", "1023.9,1023.9", "--energy", "1e-3")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: packet 2")
+
+
+@pytest.mark.parametrize("command", ["discrete", "oracle"])
+@pytest.mark.parametrize("slot_len, quantum, field", [
+    ("inf", "1", "slot_len"),  # printed NaN costs and "ratio": NaN
+    ("1e-7", "1", "slot_len"),  # below t_min: failed only after the greedy
+    ("1", "inf", "quantum"),
+])
+def test_non_finite_or_too_short_grid_exits_1(capsys, command, slot_len, quantum, field):
+    code, out, err = run_cli(
+        capsys, command, "--bits", "2", "--energy", "2",
+        "--slot-len", slot_len, "--quantum", quantum,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {field} must be")

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edds.csolve import (
+    GAP_TOL,
     SolveReport,
     SolverConfig,
     gradient,
@@ -244,12 +246,13 @@ def test_project_budget_survives_huge_entries():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(grad_tol=0)
-    with pytest.raises(ValueError):
-        SolverConfig(t_min=0)
+    for bad in (0, -3, 1.5, "5"):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=bad)
+    # the duality gap and model.T_MIN replaced the residual tolerance and t_min
+    for knob in ("grad_tol", "t_min"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{knob: 1e-8})
 
 
 def test_reference_instance_fifteen_twenty():
@@ -459,14 +462,67 @@ def test_overflowing_distortion_raises_domain_error():
     # 1100 bits on 50 J: at best 2**(1100 - 72) is left, beyond float64
     with pytest.raises(DomainError, match="packet 1"):
         solve_fixed_order(Instance((1100.0,), 50.0), Order((1,)))
+    # each distortion is finite, their sum is not: no infinite total comes back
+    with pytest.raises(DomainError, match="packet 2"):
+        solve_fixed_order(Instance((1023.9, 1023.9), 1e-3), Order((1, 2)))
 
 
 def test_non_convergence_is_reported_not_raised():
     inst = Instance((15.0, 20.0), 50.0)
     report = solve_fixed_order(inst, Order((1, 2)), SolverConfig(max_iters=1))
     assert not report.converged
-    assert report.final_pg_norm > SolverConfig().grad_tol
+    assert report.duality_gap > GAP_TOL
     assert isinstance(report, SolveReport)
+
+
+def test_truncated_solves_are_not_certified():
+    # The gap is not vacuous: cut the root find short and it says so, while
+    # the same point's energies still spend the budget.  Six steps leave a
+    # gap near 3e-7, so a looser tolerance would pass this point.
+    inst = Instance((15.0, 20.0), 50.0)
+    for steps in range(1, 7):
+        report = solve_fixed_order(inst, Order((1, 2)), SolverConfig(max_iters=steps))
+        assert report.iterations == steps
+        assert not report.converged and report.duality_gap > GAP_TOL
+        assert abs(report.energy_slack) <= 1e-9 * inst.energy
+    full = solve_fixed_order(inst, Order((1, 2)))
+    assert full.converged and abs(full.duality_gap) <= GAP_TOL
+    assert kkt_residual(inst, full.alloc) <= 1e-6
+
+
+def test_duality_gap_is_a_bound_on_the_excess_cost():
+    # P - g bounds P - P*: the truncated point's excess over the optimum
+    # never exceeds its reported gap, to rounding
+    inst = Instance((12.0, 20.0, 5.0), 30.0)
+    order = Order((3, 1, 2))
+    best = solve_fixed_order(inst, order).cost.total
+    for steps in range(1, 7):
+        report = solve_fixed_order(inst, order, SolverConfig(max_iters=steps))
+        excess = (report.cost.total - best) / report.cost.total
+        assert -1e-14 <= excess <= report.duality_gap + 1e-14
+
+
+_sizes = st.one_of(
+    st.floats(0.5, 40.0),
+    st.integers(1, 5).map(float),  # small integers make equal sizes common
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    bits=st.integers(1, 64).flatmap(lambda n: st.lists(_sizes, min_size=n, max_size=n)),
+    scale=st.floats(-4.0, 6.0),
+)
+def test_duality_gap_certifies_spf_solves(bits, scale):
+    # budgets from 1e-4 to 1e6 x the total bits: every solve is certified,
+    # and a gap below zero is never more than rounding
+    inst = Instance(tuple(bits), 10.0 ** scale * sum(bits))
+    try:
+        report = solve_fixed_order(inst, spf_order(inst))
+    except DomainError:
+        return
+    assert report.converged
+    assert -1e-14 <= report.duality_gap <= GAP_TOL
 
 
 def test_solve_rejects_bad_inputs():
@@ -483,7 +539,7 @@ def test_report_doc_shape():
         "alloc",
         "cost",
         "iterations",
-        "final_pg_norm",
+        "duality_gap",
         "converged",
         "energy_slack",
         "overshoot",

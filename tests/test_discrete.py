@@ -32,6 +32,13 @@ def test_params_validation_and_budget():
         DiscreteParams(1.0, -1.0, 1, 1)
     with pytest.raises(ValueError):
         DiscreteParams(1.0, 1.0, -1, 1)
+    # infinite or NaN grids, and slots shorter than the model's t_min
+    for slot_len, quantum, field in [(math.inf, 1.0, "slot_len"), (math.nan, 1.0, "slot_len"),
+                                     (0.5e-6, 1.0, "slot_len"), (1.0, math.inf, "quantum"),
+                                     (1.0, math.nan, "quantum")]:
+        with pytest.raises(ValueError, match=field):
+            DiscreteParams(slot_len, quantum, 1, 1)
+    assert DiscreteParams(1e-6, 1.0, 1, 1).slot_len == 1e-6
     params = DiscreteParams.for_instance(Instance((2.0,), 3.7), 1.0, 0.5)
     assert params.budget_quanta == 7  # floor(3.7 / 0.5)
     assert params.max_slots == 7

@@ -13,11 +13,12 @@ certified bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
-from .model import Instance, Order, T_MIN, instance_from_doc, shannon_bits
+from .model import DomainError, Instance, Order, T_MIN, instance_from_doc, shannon_bits
 from .csolve import GAP_TOL, SolveReport, SolverConfig, solve_fixed_order
 from .order import brute_force_order, spf_order
 from .discrete import (
@@ -182,6 +183,15 @@ def cmd_sweep(args) -> int:
                         "relative duality gap") if bad else 0
 
 
+def _distortion(packet: int, undelivered: float, e1: float, t1: float) -> float:
+    """2**undelivered, refused with the packet named where float64 overflows."""
+    try:
+        return 2.0 ** undelivered
+    except OverflowError:
+        raise DomainError(f"packet {packet}: the distortion 2**{undelivered:.6g} at "
+                          f"e1={e1!r}, t1={t1!r} overflows float64") from None
+
+
 def _sweep_surface(args, doc: dict, cfg: SolverConfig | None) -> int:
     inst = _instance_from(args, doc)
     if inst.n != 2:
@@ -216,8 +226,8 @@ def _sweep_surface(args, doc: dict, cfg: SolverConfig | None) -> int:
         else:
             t2, bhat2 = T_MIN, 0.0
         for t1 in t_grid:
-            u1 = 2.0 ** (b1 - shannon_bits(e1, t1)) + t1
-            u2 = 2.0 ** (b2 - bhat2) + t1 + t2
+            u1 = _distortion(1, b1 - shannon_bits(e1, t1), e1, t1) + t1
+            u2 = _distortion(2, b2 - bhat2, e1, t1) + t1 + t2
             lines.append(f"{e1!r},{t1!r},{u1!r},{u2!r}")
     sys.stdout.write("\n".join(lines) + "\n")
     return _unconverged(f"{bad} of {len(e_grid)} columns did not converge: "
@@ -319,6 +329,7 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="edds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

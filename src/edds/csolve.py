@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,12 +153,6 @@ def project_budget(vec: np.ndarray, budget: float) -> np.ndarray:
 # The dual solve.
 
 
-def _w2(u):
-    """(u + expm1(-u)) / u**2, by its Taylor series where the sum cancels."""
-    series = 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720)))
-    return np.where(u < 1e-2, series, (u + np.expm1(-u)) / u / u)
-
-
 def _snr(log_c):
     """u = ln(1 + x) solving e**u (u - 1) + 1 = c, given ln c.
 
@@ -169,8 +164,12 @@ def _snr(log_c):
     """
     u = np.logaddexp(0.0, 0.5 * (log_c + _LN2))
     for _ in range(_SNR_STEPS):
-        w2 = _w2(u)
-        slope = 1.0 - np.expm1(-u) / u / (u * w2)
+        m = np.expm1(-u)
+        w2 = (u + m) / u / u
+        small = u < 1e-2
+        if small.any():  # where the sum cancels, its Taylor series
+            w2 = np.where(small, 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720))), w2)
+        slope = 1.0 - m / u / (u * w2)
         u = u - (u + 2.0 * np.log(u) + np.log(w2) - log_c) / slope
     return u, w2, 1.0 / slope
 
@@ -187,65 +186,107 @@ def _packets(lam, bits, log_a):
         edge = t < T_MIN  # also every packet with k <= 0
         e_min = T_MIN * np.expm1(np.maximum(k, 0.0) / (T_MIN + 1.0))
         de_min = np.where(k > 0.0, -(e_min + T_MIN) / (T_MIN + 1.0), 0.0)
-    return np.where(edge, e_min, e), np.where(edge, T_MIN, t), np.where(edge, de_min, de)
+    # in place: a batch of orders holds no second copy of each array
+    np.copyto(e, e_min, where=edge)
+    np.copyto(t, T_MIN, where=edge)
+    np.copyto(de, de_min, where=edge)
+    return e, t, de
 
 
 def _dual_solve(bits, a, budget, max_iters):
     """Newton on g = ln(sum E(lam) / budget), then on sum E itself, then
     bisection, each kept inside the bracket [lo, hi].  At lo the largest
     packet alone spends the budget, whether its time is below 1 or not.
-    Returns the last lam, its energies and times, their sum and the steps."""
-    hi = min(float(bits.max()) * _LN2, _LAM_MAX)
-    lo = hi - 2.0 * max(budget, math.log1p(budget / T_MIN))
-    log_a = np.log(a)
-    nxt = max(lo, hi - 1.0)
-    for it in range(1, max_iters + 1):
-        lam = nxt
-        e, t, de = _packets(lam, bits, log_a)
-        s, ds = float(e.sum()), float(de.sum())
-        g = math.log(s) - math.log(budget)
-        lo, hi = (lo, lam) if g <= 0.0 else (lam, hi)  # nan: sum overflowed
-        nxt = lam - g * s / ds
-        if abs(g) <= _ROOT_TOL or nxt == lam:
-            break
-        if not lo < nxt < hi:  # near lam_hi sum E is nearly linear in lam
-            nxt = lam - (s - budget) / ds
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            if not lo < nxt < hi:
-                break
-    return lam, e, t, s, it
 
-
-def solve_fixed_order(inst: Instance, order: Order,
-                      cfg: SolverConfig | None = None) -> SolveReport:
-    """Solve the continuous problem for one fixed order.
-
-    Returns the closed forms at the last multiplier, energies scaled to spend
-    the budget.  ``duality_gap`` is (P - g) / P: their cost P less the dual
-    bound g at that multiplier, relative to P.  ``converged`` says the gap is
-    at most ``GAP_TOL`` in size (one far below zero is rounding, not a
-    bound); after ``cfg.max_iters`` steps without that it is False, never
-    raised.  Raises :class:`DomainError`, naming the packet, once the running
-    sum of the optimum's distortions overflows float64.
+    ``a`` holds one row of delay weights per order, and every row runs this
+    root find on its own: its own bracket, its own kind of step, and its own
+    stop, after which it is frozen.  Each step batches the rows still
+    running.  Every operation is elementwise or a row sum, and g is taken
+    row by row with math.log (np.log differs from it in the last bit on a
+    few inputs), so a row's answer is bit for bit the one it gets alone.
+    Returns each row's last lam, its energies and times, their sum and the
+    steps taken.
     """
+    hi0 = min(float(bits.max()) * _LN2, _LAM_MAX)
+    lo0 = hi0 - 2.0 * max(budget, math.log1p(budget / T_MIN))
+    log_a = np.log(a)
+    log_budget = math.log(budget)
+    k = len(a)
+    lam, spent, iters = np.empty(k), np.empty(k), np.empty(k, dtype=int)
+    e, t = np.empty(a.shape), np.empty(a.shape)
+    rows = np.arange(k)  # the rows still running; x, lo, hi and log_a are theirs
+    lo, hi = np.full(k, lo0), np.full(k, hi0)
+    x = np.full(k, max(lo0, hi0 - 1.0))
+    with np.errstate(all="ignore"):
+        for it in range(1, max_iters + 1):
+            er, tr, de = _packets(x[:, None], bits, log_a)
+            s, ds = er.sum(axis=1), de.sum(axis=1)
+            g = np.array([math.log(v) for v in s.tolist()]) - log_budget
+            down = g <= 0.0  # nan: sum overflowed
+            lo, hi = np.where(down, lo, x), np.where(down, x, hi)
+            nxt = x - g * s / ds
+            stop = (np.abs(g) <= _ROOT_TOL) | (nxt == x)
+            inside = (lo < nxt) & (nxt < hi)
+            if not inside.all():  # near lam_hi sum E is nearly linear in lam
+                nxt = np.where(inside, nxt, x - (s - budget) / ds)
+                inside = (lo < nxt) & (nxt < hi)
+                if not inside.all():
+                    nxt = np.where(inside, nxt, 0.5 * (lo + hi))
+                    stop |= ~((lo < nxt) & (nxt < hi))
+            if it == max_iters:
+                stop[:] = True
+            if stop.any():
+                done = rows[stop]
+                lam[done], e[done], t[done], spent[done] = x[stop], er[stop], tr[stop], s[stop]
+                iters[done] = it
+                go = ~stop
+                if not go.any():
+                    break
+                rows, nxt, lo, hi, log_a = rows[go], nxt[go], lo[go], hi[go], log_a[go]
+            x = nxt
+    return lam, e, t, spent, iters
+
+
+class _Roots(NamedTuple):
+    """The root find's last point, one row per order."""
+
+    lam: np.ndarray  # (k,) the last multiplier evaluated
+    raw: np.ndarray  # (k, n) its energies, which spend `spent`
+    t: np.ndarray  # (k, n) its times
+    spent: np.ndarray  # (k,)
+    iters: np.ndarray  # (k,) multiplier steps
+    e: np.ndarray  # (k, n) raw rescaled to spend the budget
+    lost: np.ndarray  # (k, n) log2 running sums of the distortions at e
+
+
+def _solve_orders(inst: Instance, a: np.ndarray, cfg: SolverConfig | None) -> _Roots:
+    """The root find on every row of delay weights ``a`` at once, with each
+    row's energies rescaled to spend the budget."""
     cfg = cfg or SolverConfig()
-    if order.n != inst.n:
-        raise ValueError("order size does not match instance")
     if inst.energy <= 0:
         raise ValueError("the continuous solver needs a positive energy budget")
     bits = np.asarray(inst.bits)
-    a = delay_coefficients(order)
     budget = inst.energy
-    lam, raw, t, spent, it = _dual_solve(bits, a, budget, cfg.max_iters)
-    e = raw * (budget / spent)
-    with np.errstate(invalid="ignore"):  # nan where t overflowed
-        lost = np.logaddexp2.accumulate(bits - shannon_bits(e, t))  # log2 running sums
-    over = np.flatnonzero(~(lost < np.finfo(float).maxexp))
+    lam, raw, t, spent, iters = _dual_solve(bits, a, budget, cfg.max_iters)
+    with np.errstate(invalid="ignore"):  # nan where t or the sum overflowed
+        e = raw * (budget / spent)[:, None]
+        lost = np.logaddexp2.accumulate(bits - shannon_bits(e, t), axis=1)
+    return _Roots(lam, raw, t, spent, iters, e, lost)
+
+
+def _report(inst: Instance, order: Order, roots: _Roots, i: int) -> SolveReport:
+    """Row ``i`` of a root find, solved in ``order``, as a report.
+
+    Raises :class:`DomainError`, naming the packet, once the running sum of
+    the distortions overflows float64.
+    """
+    over = np.flatnonzero(~(roots.lost[i] < np.finfo(float).maxexp))
     if over.size:
-        i = over[0]
-        raise DomainError(f"packet {i + 1}: the optimal distortion, summed up to this "
-                          f"packet, 2**{lost[i]:.6g} overflows float64")
+        j = over[0]
+        raise DomainError(f"packet {j + 1}: the optimal distortion, summed up to this "
+                          f"packet, 2**{roots.lost[i, j]:.6g} overflows float64")
+    raw, e, t = roots.raw[i], roots.e[i], roots.t[i]
+    budget, spent = inst.energy, float(roots.spent[i])
     alloc = ContinuousAllocation(tuple(e), tuple(t), order)
     cost = evaluate_cost(inst, alloc)
     # P - g = sum_i D_i expm1(ln 2 (bhat_i - bhat'_i)) + mu (E - spent), D_i and
@@ -254,16 +295,36 @@ def solve_fixed_order(inst: Instance, order: Order,
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not converged
         nats = t * np.log1p((raw - e) / (t + e))
         gap = -float(np.asarray(cost.distortions) @ np.expm1(-nats))
-        gap = (gap + math.exp(lam) * (budget - spent)) / cost.total
+        gap = (gap + math.exp(roots.lam[i]) * (budget - spent)) / cost.total
+    if math.isnan(gap):  # 0 * inf: a D_i underflowed where expm1 overflowed
+        gap = math.inf
     overshoot = tuple(
-        i + 1 for i in range(inst.n) if cost.bhat[i] > inst.bits[i] + 1e-12
+        j + 1 for j in range(inst.n) if cost.bhat[j] > inst.bits[j] + 1e-12
     )
     return SolveReport(
         alloc=alloc,
         cost=cost,
-        iterations=it,
+        iterations=int(roots.iters[i]),
         duality_gap=gap,
         converged=bool(abs(gap) <= GAP_TOL),
         energy_slack=float(budget - e.sum()),
         overshoot=overshoot,
     )
+
+
+def solve_fixed_order(inst: Instance, order: Order,
+                      cfg: SolverConfig | None = None) -> SolveReport:
+    """Solve the continuous problem for one fixed order.
+
+    Returns the closed forms at the last multiplier, energies scaled to spend
+    the budget.  ``duality_gap`` is (P - g) / P: their cost P less the dual
+    bound g at that multiplier, relative to P, or +inf where it cannot be
+    formed.  ``converged`` says the gap is at most ``GAP_TOL`` in size (one
+    far below zero is rounding, not a bound); after ``cfg.max_iters`` steps
+    without that it is False, never raised.  Raises :class:`DomainError`,
+    naming the packet, once the running sum of the optimum's distortions
+    overflows float64.
+    """
+    if order.n != inst.n:
+        raise ValueError("order size does not match instance")
+    return _report(inst, order, _solve_orders(inst, delay_coefficients(order)[None], cfg), 0)

@@ -33,15 +33,18 @@ fact on random instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, islice, permutations
 
 import numpy as np
 
 from .model import Instance, Order, SizeError
-from .csolve import SolveReport, SolverConfig, solve_fixed_order
+from .csolve import SolveReport, SolverConfig, _report, _solve_orders, solve_fixed_order
 
-N_MAX = 8  # n! solves; 8! = 40320 is the default ceiling.
+N_MAX = 8  # 8! = 40320 orders, solved in blocks of _BLOCK rows, is the ceiling.
+_BLOCK = 5040  # 7!: orders per batched root find, which bounds its memory
+_SCREEN_RTOL = 1e-9  # screened costs this close to the least get a full report
 
 
 def brute_force_order(
@@ -49,19 +52,46 @@ def brute_force_order(
 ) -> tuple[Order, SolveReport]:
     """Solve every permutation and keep the cheapest.
 
-    Ties keep the lexicographically smallest permutation (the iteration
-    order), so the result is deterministic.
+    The orders go, one row of delay weights each, through one batched root
+    find per block of at most 5040: a row's answer is bit for bit what
+    ``solve_fixed_order`` returns for its order, truncated ``max_iters``
+    included.  Each row is screened by P = sum D_i + sum a_i t_i, and only
+    the rows within a relative 1e-9 of the least P so far, plus every row
+    whose distortions overflow, become reports, without a re-solve, in
+    permutation order.  So ties keep the lexicographically smallest
+    permutation (a strict < in the iteration order), the result is
+    deterministic, and an overflowing order raises the
+    :class:`DomainError` of the first such permutation, as one solve per
+    order would.
     """
     if inst.n > N_MAX:
         raise SizeError(f"brute force is capped at n_max={N_MAX} packets, got {inst.n}")
-    best: tuple[Order, SolveReport] | None = None
-    for perm in permutations(range(1, inst.n + 1)):
-        order = Order(perm)
-        report = solve_fixed_order(inst, order, cfg)
-        if best is None or report.cost.total < best[1].cost.total:
-            best = (order, report)
+    n = inst.n
+    perms = permutations(range(1, n + 1))
+    best, floor = None, math.inf
+    for _ in range(0, math.factorial(n), _BLOCK):
+        block = np.fromiter(chain.from_iterable(islice(perms, _BLOCK)), float).reshape(-1, n)
+        best, floor = _search_block(inst, block, cfg, best, floor)
     assert best is not None
     return best
+
+
+def _search_block(inst, block, cfg, best, floor):
+    """Solve one block of orders, rows of positions, and return the cheapest
+    (order, report) so far with the least screened cost so far.  The block's
+    arrays are freed on return, before the next block is solved."""
+    a = inst.n - block + 1.0  # delay_coefficients, row by row
+    roots = _solve_orders(inst, a, cfg)
+    ok = roots.lost[:, -1] < np.finfo(float).maxexp  # the whole distortion sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        screen = np.where(ok, np.exp2(roots.lost[:, -1]) + (a * roots.t).sum(axis=1), math.inf)
+    floor = min(floor, float(screen.min()))
+    for i in np.flatnonzero(~ok | (screen <= floor + _SCREEN_RTOL * abs(floor))):
+        order = Order(block[i])
+        report = _report(inst, order, roots, i)
+        if best is None or report.cost.total < best[1].cost.total:
+            best = (order, report)
+    return best, floor
 
 
 def spf_order(inst: Instance) -> Order:

@@ -6,6 +6,10 @@ asserts on the exit code plus the parsed JSON/CSV payloads.  Exit codes:
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +240,18 @@ def test_sweep_vary_b1_layout(capsys):
     assert [float(l.split(",")[0]) for l in lines[1:]] == [2.0, 3.0, 4.0]
 
 
+@pytest.mark.parametrize("bits, energy, grid_e, packet", [
+    ("1100,5", "10", "0:10:5", 1),  # 2**1100 at E1 = 0: was an OverflowError traceback
+    ("5,1030", "1000", "1000:1000:1", 2),  # 2**1030 at E2 = 0, where no tail solve runs
+])
+def test_surface_overflow_exits_1_with_one_line(capsys, bits, energy, grid_e, packet):
+    code, out, err = run_cli(capsys, "sweep", "--surface", "--bits", bits, "--energy", energy,
+                             "--grid-e", grid_e)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: packet {packet}: the distortion")
+
+
 def test_surface_brackets_the_continuous_optimum(capsys):
     _, doc = solve_json(capsys, "solve", "--bits", "15,20", "--energy", "50")
     e_star = doc["alloc"]["energies"][0]
@@ -437,6 +453,29 @@ def test_repeated_runs_are_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    # One process runs these in turn, a usage error among them, with the
+    # parser built once; each matches the same command in a fresh interpreter.
+    common = ("--bits", "15,20", "--energy", "50")
+    commands = [
+        ("solve", *common, "--order", "2,1"),
+        ("solve", *common, "--order", "1,2", "--search", "brute"),
+        ("solve", *common, "--search", "brute"),
+        ("sweep", "--fix", "B1=15", "--vary", "B2=18:22:2", "--energy", "50", "--search", "spf"),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    codes = []
+    for argv in commands:
+        in_process = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "edds.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(in_process[0])
+    assert codes == [0, 1, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_docs_round_trip_through_model_constructors(capsys):

@@ -12,6 +12,7 @@ from edds.csolve import (
     GAP_TOL,
     SolveReport,
     SolverConfig,
+    _packets,
     gradient,
     hessian_block,
     project_budget,
@@ -523,6 +524,64 @@ def test_duality_gap_certifies_spf_solves(bits, scale):
         return
     assert report.converged
     assert -1e-14 <= report.duality_gap <= GAP_TOL
+
+
+def test_truncated_gap_is_inf_where_it_cannot_be_formed():
+    # One to three steps leave the raw energies far below the budget: the
+    # distortion at the rescaled energies underflows to 0 while expm1 of the
+    # change overflows, and 0 * inf read "duality_gap": NaN.
+    for bits, energy, steps in [((40.0,), 1e5, (1,)), ((900.0,), 1e4, (1, 2, 3))]:
+        for m in steps:
+            report = solve_fixed_order(Instance(bits, energy), Order((1,)), SolverConfig(max_iters=m))
+            assert report.duality_gap == math.inf
+            assert not report.converged and report.iterations == m
+
+
+# The per-packet closed forms as they were before expm1(-u) was shared
+# between w2 and the slope and the Taylor series was skipped where no u is
+# small: the reference the leaner ones must match bit for bit.
+
+
+def _reference_w2(u):
+    series = 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720)))
+    return np.where(u < 1e-2, series, (u + np.expm1(-u)) / u / u)
+
+
+def _reference_snr(log_c):
+    u = np.logaddexp(0.0, 0.5 * (log_c + LN2))
+    for _ in range(5):
+        w2 = _reference_w2(u)
+        slope = 1.0 - np.expm1(-u) / u / (u * w2)
+        u = u - (u + 2.0 * np.log(u) + np.log(w2) - log_c) / slope
+    return u, w2, 1.0 / slope
+
+
+def _reference_packets(lam, bits, log_a):
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = bits * LN2 - lam
+        u, w2, du = _reference_snr(log_a - lam)
+        r = np.expm1(u) / u
+        e = (k - u) * r
+        de = (du - 1.0) * r - (k - u) * np.exp(u) * w2 * du
+        t = k / u - 1.0
+        edge = t < T_MIN
+        e_min = T_MIN * np.expm1(np.maximum(k, 0.0) / (T_MIN + 1.0))
+        de_min = np.where(k > 0.0, -(e_min + T_MIN) / (T_MIN + 1.0), 0.0)
+    return np.where(edge, e_min, e), np.where(edge, T_MIN, t), np.where(edge, de_min, de)
+
+
+def test_packets_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(61)
+    small = 0
+    for _ in range(1000):
+        n = int(rng.integers(1, 65))
+        bits = rng.uniform(0.5, 80.0, n)
+        log_a = np.log(rng.permutation(n) + 1.0)
+        lam = float(rng.uniform(-40.0, 45.0))
+        small += bool((_reference_snr(log_a - lam)[0] < 1e-2).any())
+        for got, want in zip(_packets(lam, bits, log_a), _reference_packets(lam, bits, log_a)):
+            assert got.tobytes() == want.tobytes()
+    assert small >= 100  # the series branch is exercised, not just the plain one
 
 
 def test_solve_rejects_bad_inputs():

@@ -1,17 +1,19 @@
 """Order-search tests: brute force, shortest-packet-first, and the agreement
 experiment."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edds.model import Instance, Order, SizeError
+from edds.model import DomainError, Instance, Order, SizeError
 from edds.order import (
     brute_force_order,
     spf_agreement_experiment,
     spf_order,
 )
-from edds.csolve import solve_fixed_order
+from edds.csolve import SolverConfig, solve_fixed_order
 
 
 def test_spf_order_examples():
@@ -62,6 +64,55 @@ def test_brute_force_relabel_invariance():
 def test_brute_force_size_cap():
     with pytest.raises(SizeError):
         brute_force_order(Instance((1.0,) * 9, 20.0))
+
+
+def _loop_brute_force(inst, cfg=None):
+    """The search as one solve_fixed_order per order, kept as the reference."""
+    best = None
+    for perm in permutations(range(1, inst.n + 1)):
+        order = Order(perm)
+        report = solve_fixed_order(inst, order, cfg)
+        if best is None or report.cost.total < best[1].cost.total:
+            best = (order, report)
+    return best
+
+
+def _outcome(search, inst, cfg):
+    try:
+        return repr(search(inst, cfg))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def test_batched_brute_force_matches_the_loop():
+    # The batched root find returns the loop's answer byte for byte: equal
+    # sizes (ties), budgets from 1e-4 to 1e6 x the total bits, truncated
+    # solves, an overflowing optimum, and one n = 7 search in a single block.
+    rng = np.random.default_rng(67)
+    cases = []
+    for k in range(1000):
+        n = int(rng.choice(5, p=[0.3, 0.35, 0.25, 0.08, 0.02])) + 1
+        bits = rng.integers(1, 6, n) if k % 3 == 0 else rng.uniform(0.5, 40.0, n)
+        energy = 10.0 ** rng.uniform(-4.0, 6.0) * bits.sum()
+        cfg = SolverConfig(max_iters=int(rng.integers(1, 7))) if k % 4 == 1 else None
+        cases.append((Instance(tuple(float(b) for b in bits), float(energy)), cfg))
+    assert sum(len(set(inst.bits)) < inst.n for inst, _ in cases) >= 100
+    assert {inst.n for inst, _ in cases} == {1, 2, 3, 4, 5}
+    overflow = (Instance((1023.9, 1023.9), 1e-3), None)
+    bits = rng.uniform(1.0, 25.0, 7)
+    cases += [overflow, (Instance(tuple(float(b) for b in bits), 2.0 * float(bits.sum())), None)]
+    for inst, cfg in cases:
+        assert _outcome(brute_force_order, inst, cfg) == _outcome(_loop_brute_force, inst, cfg)
+    assert _outcome(brute_force_order, *overflow).startswith("DomainError: packet 2")
+
+
+def test_spf_is_optimal_at_the_brute_force_cap():
+    # n = 8, all 40320 orders: the SPF theorem at the largest n brute force takes
+    bits = np.random.default_rng(71).uniform(1.0, 25.0, 8)
+    inst = Instance(tuple(float(b) for b in bits), 2.0 * float(bits.sum()))
+    spf_cost = solve_fixed_order(inst, spf_order(inst)).cost.total
+    _, best = brute_force_order(inst)
+    assert abs(spf_cost - best.cost.total) <= 1e-9 * best.cost.total
 
 
 def test_agreement_experiment_empty():

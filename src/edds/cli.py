@@ -219,7 +219,11 @@ def _sweep_surface(args, doc: dict, cfg: SolverConfig | None) -> int:
         if e2 > 0:
             # The tail subproblem (packet 2 alone with the leftover energy)
             # fixes t2 and bhat2 for this column of the surface.
-            rep = solve_fixed_order(Instance((b2,), e2), Order.identity(1), cfg)
+            try:
+                rep = solve_fixed_order(Instance((b2,), e2), Order.identity(1), cfg)
+            except DomainError as exc:  # it names its only packet "packet 1"
+                _, _, why = str(exc).partition(": ")
+                raise DomainError(f"packet 2: {why}") from None
             bad += not rep.converged
             t2 = rep.alloc.times[0]
             bhat2 = rep.cost.bhat[0]

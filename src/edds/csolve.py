@@ -112,6 +112,24 @@ def gradient(inst: Instance, alloc: ContinuousAllocation) -> np.ndarray:
     return out
 
 
+def _hessian_blocks(bits, e, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The curvature blocks' entries (h_ee, h_et, h_tt) at arrays of (B, e, t).
+
+    The formula of ``hessian_block``, element by element over broadcast
+    arrays.  Python's ``**`` and ``math.log1p`` run on each element: NumPy's
+    ``power`` and ``log1p`` round some inputs differently in the last bit.
+    """
+
+    def each(fn, x: np.ndarray) -> np.ndarray:
+        return np.array([fn(v) for v in x.ravel().tolist()], float).reshape(x.shape)
+
+    d = each(lambda v: 2.0 ** v, bits - shannon_bits(e, t))  # validates e and t
+    x = e / t
+    g_e, g_t = 1.0 / (1.0 + x), each(math.log1p, x) - x / (1.0 + x)
+    s = each(lambda v: v ** 2, t + e)
+    return d * (g_e * g_e + t / s), d * (g_e * g_t - e / s), d * (g_t * g_t + e * e / t / s)
+
+
 def hessian_block(inst: Instance, packet: int, e: float, t: float, a: float) -> np.ndarray:
     """The 2x2 curvature block of one packet's cost in (E_i, t_i), exactly.
 
@@ -122,12 +140,10 @@ def hessian_block(inst: Instance, packet: int, e: float, t: float, a: float) -> 
     """
     if not 1 <= packet <= inst.n:
         raise ValueError("packet index out of range")
-    d = 2.0 ** (inst.bits[packet - 1] - shannon_bits(e, t))  # validates e and t
-    x = e / t
-    g_e, g_t = 1.0 / (1.0 + x), math.log1p(x) - x / (1.0 + x)
-    s = (t + e) ** 2
-    off = d * (g_e * g_t - e / s)
-    return np.array([[d * (g_e * g_e + t / s), off], [off, d * (g_t * g_t + e * e / t / s)]])
+    h_ee, h_et, h_tt = _hessian_blocks(
+        np.array([inst.bits[packet - 1]]), np.array([e], float), np.array([t], float)
+    )
+    return np.array([[h_ee[0], h_et[0]], [h_et[0], h_tt[0]]])
 
 
 def project_budget(vec: np.ndarray, budget: float) -> np.ndarray:

@@ -374,14 +374,16 @@ def _compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)  # keys are bounded by ORACLE_CAPS
-def _candidates(n: int, q: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _candidates(n: int, q: int, width: int) -> tuple[np.ndarray, ...]:
     """Every (owner, quanta) prefix of 1..width slots with at most q quanta.
 
     Rows follow the oracle's enumeration order: J = 1..width slots, then the
     owner tuples in ``product`` order, then the quanta in ``_compositions``
-    order.  Each row is padded to ``width`` with owner 0 and quanta 0.  Both
+    order.  Each row is padded to ``width`` with owner 0 and quanta 0.  Per
+    packet i, ``counts[i, row, r-1]`` is the number of its slots at load r
+    and ``last[i, row]`` its last slot (0 when it has none).  All four
     arrays are read-only int8 (3 packets, 6 quanta and 6 slots make 4095
-    rows, 48 KB).
+    rows, 135 KB).
     """
     owners, quanta = [], []
     for j in range(1, width + 1):
@@ -391,7 +393,11 @@ def _candidates(n: int, q: int, width: int) -> tuple[np.ndarray, np.ndarray]:
         pad = ((0, 0), (0, width - j))
         owners.append(np.pad(np.repeat(digits.astype(np.int8), len(comps), 0), pad))
         quanta.append(np.pad(np.tile(comps, (n**j, 1)), pad))
-    table = np.concatenate(owners), np.concatenate(quanta)
+    owner, load = np.concatenate(owners), np.concatenate(quanta)
+    mine = owner == np.arange(1, n + 1)[:, None, None]  # (packet, row, slot)
+    counts = (mine[..., None] & (load[..., None] == np.arange(1, q + 1))).sum(2)
+    last = (mine * np.arange(1, width + 1)).max(2)
+    table = owner, load, counts.astype(np.int8), last.astype(np.int8)
     for a in table:
         a.flags.writeable = False
     return table
@@ -410,16 +416,17 @@ def oracle_allocate(
     (owner, quanta) pair — the enumeration order.
 
     The candidates come from a cached int8 table (``_candidates``) and are
-    scored in one NumPy pass: D_i = exp2(B_i - bits of packet i's slots) +
-    l * (its last slot), summed over packets.  Each candidate whose vector
-    total lies within 1e-9 * max(1, |m|) of m, the smaller of the
-    do-nothing cost and the least vector total, is then scored again by the
-    scalar ``_packet_costs`` in enumeration order and kept only on a strict
-    ``<`` against the best so far, starting from the do-nothing cost.  The
-    two totals add the same non-negative terms in the same order and differ
-    only where ``exp2`` and ``**`` round differently, a few ulps; so every
-    exact minimiser passes the filter, and the re-check returns the first of
-    them, exactly the answer a scalar scan over all candidates gives.
+    scored in one matmul and one ``exp2``: packet i sends counts[i] @ bits
+    per load, so D_i = exp2(B_i - that) + l * last[i], summed over packets.
+    Each candidate whose vector total lies within 1e-9 * max(1, |m|) of m,
+    the smaller of the do-nothing cost and the least vector total, is then
+    scored again by the scalar ``_packet_costs`` in enumeration order and
+    kept only on a strict ``<`` against the best so far, starting from the
+    do-nothing cost.  The vector totals group a packet's bits by load, not
+    by slot, and ``exp2`` rounds differently from ``**``, so they differ
+    from the scalar totals by a few ulps; the filter's margin is far wider,
+    so every exact minimiser passes it, and the re-check returns the first
+    of them, exactly the answer a scalar scan over all candidates gives.
     """
     sizes = (inst.n, params.budget_quanta, params.max_slots)
     for what, size, cap in zip(("packets", "quanta", "slots"), sizes, ORACLE_CAPS):
@@ -433,14 +440,9 @@ def oracle_allocate(
     width = min(params.max_slots, params.budget_quanta)
     if width:
         table = _slot_bit_table(params, params.budget_quanta)
-        owner, quanta = _candidates(inst.n, params.budget_quanta, width)
-        slot_bits = np.array(table)[quanta]
-        slot = np.arange(1, width + 1)
-        totals = np.zeros(len(owner))
-        for i, b in enumerate(bits):
-            mine = owner == i + 1
-            sent = np.where(mine, slot_bits, 0.0).sum(1)
-            totals += np.exp2(b - sent) + params.slot_len * (mine * slot).max(1)
+        owner, quanta, counts, last = _candidates(inst.n, params.budget_quanta, width)
+        sent = counts @ np.array(table[1:])
+        totals = (np.exp2(np.array(bits)[:, None] - sent) + params.slot_len * last).sum(0)
         m = np.fmin.reduce(totals, initial=best_total)  # fmin skips nan
         near = np.flatnonzero(totals <= m + 1e-9 * max(1.0, abs(m)))
         for c in near.tolist():

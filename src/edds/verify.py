@@ -16,7 +16,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .csolve import hessian_block
+# hessian_block, the one-packet form of the probe's blocks, stays importable
+# here: perfbench's tracer wraps it under this name.
+from .csolve import _hessian_blocks, hessian_block  # noqa: F401
 from .discrete import DiscreteParams, _slot_bit_table, idle_costs
 from .model import Instance, Order, SizeError, delay_coefficients, shannon_bits
 
@@ -25,6 +27,9 @@ MONOTONE_TOL = 1e-9
 CONVEXITY_TOL = 1e-9
 _EXHAUSTIVE_MAX = 10
 _GROUND_MAX = 20
+# Trials the convexity probe evaluates at once; its arrays never grow past
+# this many rows, however many trials run.
+_TRIAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,22 @@ class _Probe:
             if bad:
                 self.witness = witness
 
+    def record_all(self, slacks: np.ndarray, witness: Callable[[int], tuple]) -> None:
+        """``record`` each slack in turn, in one pass; ``witness(k)`` names slack k.
+
+        As in ``record``, a nan slack counts as a trial but is never a
+        violation and never sets the margin, and the margin takes the first
+        of equal slacks.
+        """
+        self.trials += len(slacks)
+        self.violations += int(np.count_nonzero(slacks < -self.tol))
+        if len(slacks):
+            k = int(np.argmin(np.where(np.isnan(slacks), np.inf, slacks)))
+            if slacks[k] < self.margin:
+                self.margin = float(slacks[k])
+                if self.margin < -self.tol:
+                    self.witness = witness(k)
+
     def report(self, name: str) -> PropertyReport:
         margin = 0.0 if self.trials == 0 else self.margin
         witness = self.witness if self.violations else None
@@ -111,6 +132,11 @@ def check_ground_size(cells: int) -> None:
     """Refuse a ground set of more than ``_GROUND_MAX`` cells."""
     if cells > _GROUND_MAX:
         raise SizeError(f"ground set is capped at {_GROUND_MAX} cells, got {cells}")
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
 
 
 def _ground_checked(f: SetFunction) -> tuple:
@@ -130,7 +156,9 @@ def check_supermodular(
 
     Exhausts all triples when the ground set has at most 10 cells (or when
     forced); otherwise samples `trials` of them with the seeded generator.
+    Raises ``ValueError`` for ``trials < 0``.
     """
+    _check_trials(trials)
     ground = _ground_checked(f)
     m = len(ground)
     if exhaustive is None:
@@ -169,7 +197,12 @@ def check_supermodular(
 def check_monotone(
     f: SetFunction, trials: int = 1000, seed: int = 0, exhaustive: bool | None = None
 ) -> PropertyReport:
-    """Probe f(S + x) <= f(S): adding resources never increases cost."""
+    """Probe f(S + x) <= f(S): adding resources never increases cost.
+
+    Exhaustive or sampled as in ``check_supermodular``; raises
+    ``ValueError`` for ``trials < 0``.
+    """
+    _check_trials(trials)
     ground = _ground_checked(f)
     m = len(ground)
     if exhaustive is None:
@@ -256,11 +289,6 @@ def di_as_set_function(
     return SetFunction(ground, fn)
 
 
-def _cost(e, t, bits, a) -> float:
-    """The continuous total cost at energies e and times t (arrays)."""
-    return float(np.exp2(bits - shannon_bits(e, t)).sum() + a @ t)
-
-
 def check_convexity(
     inst: Instance, order: Order, trials: int = 1000, seed: int = 0
 ) -> PropertyReport:
@@ -270,32 +298,54 @@ def check_convexity(
     U((x+y)/2) <= (U(x) + U(y))/2 + tol, and checks every packet's 2x2
     curvature block at the midpoint for positive determinant and trace.  All
     three slacks feed one report (the block checks use zero tolerance).
+    Raises ``ValueError`` for ``trials < 0``.
+
+    Trials run in blocks of ``_TRIAL_BLOCK``: the seeded generator draws
+    each trial's points in turn, then one NumPy pass scores the block's
+    costs and curvature blocks, element for element as a per-trial loop
+    would, and the slacks are recorded in trial order (the midpoint, then
+    packets 1..n).  The report is the loop's, and memory stays flat in
+    ``trials``.  Where a block's entries overflow (packets of about a
+    thousand bits) its slacks are nan, quietly: a nan slack counts as a
+    trial and nothing else, as min(det, trace) and ``<`` treat it.
     """
+    _check_trials(trials)
     if order.n != inst.n:
         raise ValueError("order size does not match instance")
     n = inst.n
     bits = np.asarray(inst.bits)
     a = delay_coefficients(order)
+    ones = np.ones(n)
     rng = np.random.default_rng(seed)
     probe = _Probe(CONVEXITY_TOL)
 
-    def draw() -> tuple[np.ndarray, np.ndarray]:
-        e = inst.energy * rng.uniform() * rng.dirichlet(np.ones(n))
-        t = rng.uniform(0.1, 10.0, n)
-        return e, t
+    def cost(e: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The continuous total cost of each row of energies e and times t."""
+        # A stack of row-by-vector products: one dot per row, as a 1-D
+        # ``a @ t`` sums it (``t @ a`` on the matrix may sum in another order).
+        delay = (t[:, None, :] @ a[:, None])[:, 0, 0]
+        return np.exp2(bits - shannon_bits(e, t)).sum(1) + delay
 
-    for _ in range(trials):
-        ex, tx = draw()
-        ey, ty = draw()
+    for start in range(0, trials, _TRIAL_BLOCK):
+        rows = min(_TRIAL_BLOCK, trials - start)
+        ex, tx, ey, ty = (np.empty((rows, n)) for _ in range(4))
+        for k in range(rows):
+            for e, t in ((ex, tx), (ey, ty)):
+                e[k] = inst.energy * rng.uniform() * rng.dirichlet(ones)
+                t[k] = rng.uniform(0.1, 10.0, n)
         em, tm = 0.5 * (ex + ey), 0.5 * (tx + ty)
-        mid_slack = (
-            0.5 * (_cost(ex, tx, bits, a) + _cost(ey, ty, bits, a))
-            - _cost(em, tm, bits, a)
-        )
-        probe.record(mid_slack, ("midpoint", tuple(ex), tuple(tx), tuple(ey), tuple(ty)))
-        for i in range(1, n + 1):
-            h = hessian_block(inst, i, float(em[i - 1]), float(tm[i - 1]), float(a[i - 1]))
-            det = float(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0])
-            trace = float(h[0, 0] + h[1, 1])
-            probe.record(min(det, trace), ("hessian", i, float(em[i - 1]), float(tm[i - 1])))
+        slacks = np.empty((rows, n + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            slacks[:, 0] = 0.5 * (cost(ex, tx) + cost(ey, ty)) - cost(em, tm)
+            h_ee, h_et, h_tt = _hessian_blocks(bits, em, tm)
+            det, trace = h_ee * h_tt - h_et * h_et, h_ee + h_tt
+        slacks[:, 1:] = np.where(trace < det, trace, det)  # Python's min(det, trace)
+
+        def witness(flat: int) -> tuple:
+            k, i = divmod(flat, n + 1)
+            if i == 0:
+                return ("midpoint", tuple(ex[k]), tuple(tx[k]), tuple(ey[k]), tuple(ty[k]))
+            return ("hessian", i, float(em[k, i - 1]), float(tm[k, i - 1]))
+
+        probe.record_all(slacks.ravel(), witness)
     return probe.report("convexity")

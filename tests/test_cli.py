@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,14 @@ def test_surface_overflow_exits_1_with_one_line(capsys, bits, energy, grid_e, pa
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: packet {packet}: the distortion")
+
+
+def test_surface_tail_overflow_names_packet_2(capsys):
+    # The tail solve numbers its one packet 1; the overflowing packet is 2.
+    code, out, err = run_cli(capsys, "sweep", "--surface", "--bits", "5,1100", "--energy", "10")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: packet 2: the optimal distortion")
 
 
 def test_surface_brackets_the_continuous_optimum(capsys):
@@ -546,3 +555,28 @@ def test_non_finite_or_too_short_grid_exits_1(capsys, command, slot_len, quantum
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {field} must be")
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--convexity-trials"])
+def test_check_refuses_negative_trials(capsys, flag):
+    code, out, err = run_cli(
+        capsys, "check", "--bits", "2,3", "--energy", "4", "--slot-len", "1",
+        "--quantum", "1", flag, "-3",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: trials must be non-negative, got -3\n"
+
+
+def test_check_on_large_packets_keeps_stderr_clean(capsys):
+    # The curvature determinants overflow to nan here; the probe skips them
+    # without a NumPy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "check", "--bits", "1000,1000", "--energy", "1", "--slot-len", "1",
+            "--quantum", "1",
+        )
+    assert code == 0 and err == ""
+    rows = _check_rows(out)
+    assert rows["convexity"]["trials"] == 1500 and rows["convexity"]["violations"] == 0

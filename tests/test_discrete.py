@@ -13,6 +13,7 @@ from edds.discrete import (
     DiscreteAllocation,
     DiscreteParams,
     TraceStep,
+    _candidates,
     _compositions,
     _packet_costs,
     _slot_bit_table,
@@ -424,3 +425,23 @@ def test_oracle_matches_full_scan_reference():
     # the draws reached equal bits, Q = 0, S = 0, S < Q and S > Q
     for flag in range(5):
         assert any(shape[flag] for shape in shapes)
+
+
+def test_candidate_tables_are_consistent_and_small():
+    # The cache keeps every shape the oracle has met; all of them together
+    # must stay small, since they live as long as the process.
+    n_cap, q_cap, s_cap = ORACLE_CAPS
+    total = 0
+    for n in range(1, n_cap + 1):
+        for q in range(1, q_cap + 1):
+            for width in range(1, min(q, s_cap) + 1):
+                owner, quanta, counts, last = _candidates(n, q, width)
+                assert counts.shape == (n, len(owner), q) and last.shape == (n, len(owner))
+                for i in range(n):
+                    mine = owner == i + 1
+                    for r in range(1, q + 1):
+                        assert (counts[i, :, r - 1] == (mine & (quanta == r)).sum(1)).all()
+                    slots = mine * range(1, width + 1)
+                    assert (last[i] == slots.max(1)).all()
+                total += sum(a.nbytes for a in (owner, quanta, counts, last))
+    assert total < 1_000_000

@@ -7,10 +7,14 @@ delay term is known to break supermodularity of the full cost.
 """
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
-from edds.model import Instance, Order, SizeError
+from edds import verify
+from edds.csolve import hessian_block
+from edds.model import Instance, Order, SizeError, delay_coefficients, shannon_bits
 from edds.discrete import DiscreteParams
 from edds.verify import (
     SetFunction,
@@ -219,3 +223,124 @@ def test_report_doc_serializes_witness():
     assert isinstance(doc["worst_witness"][0], list)
     clean = check_supermodular(SetFunction(_ground(3), lambda s: float(len(s) ** 2)))
     assert clean.to_doc()["worst_witness"] is None
+
+
+def test_negative_trials_are_refused_and_zero_runs_none():
+    sf = SetFunction(_ground(12), lambda s: float(len(s)))
+    inst = Instance((3.0, 5.0), 4.0)
+    probes = (lambda k: check_supermodular(sf, trials=k),
+              lambda k: check_monotone(sf, trials=k),
+              lambda k: check_convexity(inst, Order.identity(2), trials=k))
+    for probe in probes:
+        with pytest.raises(ValueError, match="trials must be non-negative, got -3"):
+            probe(-3)
+        report = probe(0)
+        assert (report.trials, report.violations, report.margin) == (0, 0, 0.0)
+    with pytest.raises(ValueError):  # even where an exhaustive probe ignores the count
+        check_monotone(sf, trials=-1, exhaustive=True)
+
+
+# ---------------------------------------------------------------------------
+# The batched convexity probe against the per-trial loop it replaced.
+
+
+def _scalar_hessian_block(inst, packet, e, t):
+    """The curvature block with Python scalars, as it was computed one at a time."""
+    d = 2.0 ** (inst.bits[packet - 1] - shannon_bits(e, t))
+    x = e / t
+    g_e, g_t = 1.0 / (1.0 + x), math.log1p(x) - x / (1.0 + x)
+    s = (t + e) ** 2
+    off = d * (g_e * g_t - e / s)
+    return np.array([[d * (g_e * g_e + t / s), off], [off, d * (g_t * g_t + e * e / t / s)]])
+
+
+def _loop_check_convexity(inst, order, trials=1000, seed=0):
+    """Reference probe: one trial at a time, each slack recorded on its own."""
+    n = inst.n
+    bits = np.asarray(inst.bits)
+    a = delay_coefficients(order)
+    rng = np.random.default_rng(seed)
+    probe = verify._Probe(verify.CONVEXITY_TOL)
+
+    def cost(e, t):
+        return float(np.exp2(bits - shannon_bits(e, t)).sum() + a @ t)
+
+    def draw():
+        e = inst.energy * rng.uniform() * rng.dirichlet(np.ones(n))
+        t = rng.uniform(0.1, 10.0, n)
+        return e, t
+
+    for _ in range(trials):
+        ex, tx = draw()
+        ey, ty = draw()
+        em, tm = 0.5 * (ex + ey), 0.5 * (tx + ty)
+        mid_slack = 0.5 * (cost(ex, tx) + cost(ey, ty)) - cost(em, tm)
+        probe.record(mid_slack, ("midpoint", tuple(ex), tuple(tx), tuple(ey), tuple(ty)))
+        for i in range(1, n + 1):
+            h = _scalar_hessian_block(inst, i, float(em[i - 1]), float(tm[i - 1]))
+            det = float(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0])
+            trace = float(h[0, 0] + h[1, 1])
+            probe.record(min(det, trace), ("hessian", i, float(em[i - 1]), float(tm[i - 1])))
+    return probe.report("convexity")
+
+
+def _convexity_cases(count, seed):
+    """n 1..6, bits up to 40, budgets log-uniform over 1e-3..1e3, and E = 0."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = k % 6 + 1
+        bits = tuple(rng.uniform(0.1, 40.0, n).tolist())
+        energy = 0.0 if k % 7 == 0 else float(10.0 ** rng.uniform(-3.0, 3.0))
+        yield Instance(bits, energy), Order.identity(n), int(rng.integers(0, 2**31))
+
+
+def _assert_same_reports(inst, order, trials, seed):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _loop_check_convexity(inst, order, trials, seed)
+    got = check_convexity(inst, order, trials, seed)
+    assert repr(got) == repr(want), (inst, trials, seed)
+    return got
+
+
+def test_batched_convexity_matches_the_loop():
+    for inst, order, seed in _convexity_cases(60, seed=3):
+        _assert_same_reports(inst, order, 40, seed)
+    # E = 0 and small packets: the cost is about a . t, and the midpoint
+    # slacks, its rounding noise, set the margin
+    for n in range(3, 7):
+        _assert_same_reports(Instance((0.25,) * n, 0.0), Order.identity(n), 200, n)
+    # more trials than one block, in a reversed order
+    inst = Instance((7.5, 12.0, 3.0), 20.0)
+    report = _assert_same_reports(inst, Order((3, 1, 2)), 2 * verify._TRIAL_BLOCK + 5, 11)
+    assert report.trials == (2 * verify._TRIAL_BLOCK + 5) * 4
+
+
+def test_batched_convexity_skips_nan_slacks_like_the_loop():
+    # 2**1000-sized blocks: det overflows to inf - inf = nan, which counts as a
+    # trial but never as the margin.
+    inst = Instance((1000.0, 1000.0), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the batched probe warns about nothing
+        report = _assert_same_reports(inst, Order.identity(2), 100, 0)
+    assert report.trials == 300 and math.isfinite(report.margin)
+
+
+def test_batched_convexity_witness_matches_the_loop(monkeypatch):
+    # Every finite slack a violation: the witness is the first of the least.
+    monkeypatch.setattr(verify, "CONVEXITY_TOL", -math.inf)
+    for inst, order, seed in _convexity_cases(12, seed=5):
+        report = _assert_same_reports(inst, order, 30, seed)
+        assert report.violations == report.trials and report.worst_witness is not None
+    report = _assert_same_reports(Instance((1000.0, 1000.0), 1.0), Order.identity(2), 100, 1)
+    assert 100 <= report.violations < report.trials  # the nan slacks never count
+
+
+def test_hessian_block_matches_the_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for _ in range(500):
+        n = int(rng.integers(1, 4))
+        inst = Instance(tuple(rng.uniform(0.1, 60.0, n).tolist()), 10.0)
+        packet = int(rng.integers(1, n + 1))
+        e, t = float(10.0 ** rng.uniform(-4, 3)), float(10.0 ** rng.uniform(-6, 2))
+        got = hessian_block(inst, packet, e, t, 1.0)
+        assert repr(got.tolist()) == repr(_scalar_hessian_block(inst, packet, e, t).tolist())

@@ -6,8 +6,8 @@ the oracle scores, probe trials, greedy steps, multiplier steps and orders
 solved.  ``--src`` points at any checkout (its ``src/`` is imported), so
 the same cases time a parent and a change:
 
-    python bench/run.py --src ../parent --label parent
-    python bench/run.py --label change
+    python bench/run.py --src ../parent --label parent --out BENCH_11.json
+    python bench/run.py --label change --out BENCH_11.json
 
 Each run replaces its label's entry in ``--out`` and keeps the others.
 Uses only the standard library and NumPy.
@@ -44,9 +44,6 @@ def cases() -> dict:
 
     sweep = list(certificate_sweep())
     refs = {"ref1": Instance((15.0, 20.0), 50.0), "ref2": Instance((12.0, 20.0), 20.0)}
-    rng = np.random.default_rng([64, 4000])
-    greedy_inst = Instance(tuple(rng.uniform(1.0, 25.0, 64).tolist()), 4000.0)
-    greedy_params = DiscreteParams(0.5, 1.0, 4000, 4000)
     solve_inst = Instance((3.0, 8.0, 15.0, 24.0), 30.0)
     brute_inst = Instance(tuple(float(b) for b in range(3, 17, 2)), 40.0)
 
@@ -62,9 +59,23 @@ def cases() -> dict:
             lambda inst=inst: check_convexity(inst, Order.identity(2), trials=1000, seed=0),
             lambda rep: {"trials": rep.trials},
         )
-    out["greedy-n64-q4000"] = (
-        lambda: greedy_allocate(greedy_inst, greedy_params, spend_all=True),
-        lambda res: {"steps": len(res[2])},
+    # Random sizes of 1 to 25 bits, l = 0.5, e = 1; the name without a suffix
+    # runs spend_all, "-stop" the default mode.
+    for name, n, q, spend_all in (
+        ("greedy-n64-q4000", 64, 4000, True),
+        ("greedy-n256-q5000", 256, 5000, True),
+        ("greedy-n256-q5000-stop", 256, 5000, False),
+    ):
+        rng = np.random.default_rng([n, q])
+        inst = Instance(tuple(rng.uniform(1.0, 25.0, n).tolist()), float(q))
+        out[name] = (
+            lambda inst=inst, params=DiscreteParams(0.5, 1.0, q, q), spend_all=spend_all:
+                greedy_allocate(inst, params, spend_all=spend_all),
+            lambda res: {"steps": len(res[2])},
+        )
+    out["greedy-sweep"] = (
+        lambda: [greedy_allocate(i, p) for i, p in sweep],
+        lambda res: {"instances": len(res), "steps": sum(len(r[2]) for r in res)},
     )
     out["solve-n4"] = (
         lambda: solve_fixed_order(solve_inst, Order.identity(4)),
@@ -103,7 +114,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=here, help="checkout to time (default: this one)")
     parser.add_argument("--label", default="change", help="entry name in the output file")
-    parser.add_argument("--out", type=Path, default=here / "BENCH_10.json")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH json file to update")
     args = parser.parse_args(argv)
     entry = measure(args.src.resolve())
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -26,8 +27,12 @@ import numpy as np
 from .model import T_MIN, DomainError, InfeasibleError, Instance, SizeError, shannon_bits
 
 # A budget of more quanta than this is refused: the greedy builds a table of
-# Q + 1 floats and takes one step per quantum, each O(n + load runs).
+# Q + 1 floats and takes one step per quantum, each O(log n) heap work.
 MAX_QUANTA = 10_000_000
+# The unit roundoff of float64, and the greedy's margin of 16 of them
+# (``greedy_allocate`` derives it).
+_U = 2.0 ** -53
+_MARGIN = 16 * _U
 # The exhaustive oracle's caps on packets, quanta and slots.
 ORACLE_CAPS = (3, 6, 6)
 
@@ -81,13 +86,13 @@ class DiscreteAllocation:
     quanta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "owner", tuple(int(p) for p in self.owner))
-        object.__setattr__(self, "quanta", tuple(int(r) for r in self.quanta))
+        object.__setattr__(self, "owner", tuple(map(int, self.owner)))
+        object.__setattr__(self, "quanta", tuple(map(int, self.quanta)))
         if len(self.owner) != len(self.quanta):
             raise ValueError("owner and quanta must have matching lengths")
-        if any(p < 1 for p in self.owner):
+        if min(self.owner, default=1) < 1:
             raise ValueError("owners are 1-based packet indices")
-        if any(r < 1 for r in self.quanta):
+        if min(self.quanta, default=1) < 1:
             raise ValueError("an occupied slot carries at least one quantum")
 
     @property
@@ -118,7 +123,7 @@ class DiscreteCost:
         return {"per_packet": list(self.per_packet), "total": self.total}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     """One committed greedy move."""
 
@@ -212,6 +217,13 @@ def discrete_cost(
             f"allocation spends {sum(alloc.quanta)} quanta against a budget of "
             f"{params.budget_quanta}"
         )
+    return _checked_cost(inst.bits, params, alloc)
+
+
+def _checked_cost(
+    bits: Sequence[float], params: DiscreteParams, alloc: DiscreteAllocation
+) -> DiscreteCost:
+    """``discrete_cost`` of an allocation already known to pass its checks."""
     r_max = max(alloc.quanta, default=0)
     table = [0.0]
     if r_max:
@@ -219,8 +231,37 @@ def discrete_cost(
         # that this cost re-derives the greedy's totals independently.
         r = np.arange(1, r_max + 1)
         table += shannon_bits(params.quantum * r, params.slot_len).tolist()
-    per = _packet_costs(inst.bits, params, alloc.owner, alloc.quanta, table)
+    per = _packet_costs(bits, params, alloc.owner, alloc.quanta, table)
     return DiscreteCost(tuple(per), float(sum(per)))
+
+
+def _drop_stale(heap: list, ver: list[int]) -> None:
+    """Keep only the live entries of ``heap``: those of their packet's version."""
+    heap[:] = [e for e in heap if e[2] == ver[e[1]]]
+    heapify(heap)
+
+
+def _near(heap: list, bound: float, ver: list[int]) -> list[int]:
+    """The packets of the live entries of ``heap`` with a key <= bound.
+
+    The root must be live and within the bound.  The walk goes down the
+    heap as a tree and stops at any entry past the bound, since its children
+    are no smaller: with one entry near, it looks at the root and its two
+    children only.
+    """
+    size = len(heap)
+    if size < 2 or heap[1][0] > bound and (size < 3 or heap[2][0] > bound):
+        return [heap[0][1]]
+    out = [heap[0][1]]
+    todo = [1, 2]
+    for k in todo:  # grows while it is walked
+        if k < size:
+            key, i, v = heap[k]
+            if key <= bound:
+                if v == ver[i]:
+                    out.append(i)
+                todo += (2 * k + 1, 2 * k + 2)
+    return out
 
 
 def greedy_allocate(
@@ -238,10 +279,41 @@ def greedy_allocate(
 
     One candidate only ever changes its own packet's D_i, and every slot of a
     packet with the same load offers the same new D_i, so of those only the
-    first can win the tie-break.  Each round therefore scores one add per
-    load run of a packet's slots (a maximal stretch of equal loads) and one
-    open per packet, from per-packet scores that are recomputed only for the
-    packet that moved: a round costs O(n + load runs), not O(slots).
+    first can win the tie-break.  Each packet therefore keeps one add per
+    load run of its slots (a maximal stretch of equal loads) and one open,
+    recomputed only when the packet moves.  A candidate's new total is
+    ``v = fl(fl(T - p) + d)``, with T the running total, p = per[i] and d
+    the candidate's new D_i, and its change ``d - p`` depends on packet i
+    alone.  So two heaps keep, per packet, the key ``fl(d - p)`` of its best
+    add and the key ``fl(open_pow - p)`` of its open; the open's delay term
+    D = l * j_open is the same for every packet and is added when the heap
+    is read.  Entries carry a per-packet version, and a rescore leaves the
+    old ones stale; a heap is rebuilt from its live entries once it holds
+    more than 2n + 16, so stale entries cost O(1) a round, amortized.
+
+    The margin.  With K = fl(d - p) for an add, and K = fl(fl(open_pow - p)
+    + D) for an open, ``v - (T + K)`` sums the roundings of v and K, each
+    at most u = 2**-53 of its result: u|T - p| + u|T + d - p| + u|d - p|,
+    plus u(open_pow + D) + u|open_pow - p| for an open, whose d is
+    fl(open_pow + D).  Every p is at most the sum of all of them, which is
+    at most |T| + A, where A bounds the drift of the running total from that
+    sum: A starts at n u T (the initial sum) and grows by u(|fl(T - p)| +
+    |v|) a step.  Together |v - (T + K)| <= 4u(|T| + A + |K| + D).  If t
+    holds the least key m, a candidate c can win or tie only if v_c <= v_t,
+    so K_c - m <= 4u(2|T| + 2A + 2D + |m| + |K_c|), which gives
+    K_c - m <= 8u(|T| + A + |m| + D) / (1 - 4u).  The step takes twice
+    that, the margin ``16 u (|T| + A + |m| + D)``, which also covers the
+    rounding of the margin and of the heap tests (an open's key is tested
+    against bound - D), and re-scans every packet with a key within it of
+    m, in index order, with the full scan's loop body: strict ``<``, then
+    the smaller slot.  No candidate outside the margin can equal or beat
+    v_t, so the re-scan returns exactly the full scan's winner.
+
+    A round therefore costs O(log n) heap work, a walk over the heap
+    entries within the margin (the tops and their children when one packet
+    is near), and O(load runs) for each near packet.  The margin is a few
+    ulps of the total, so only packets whose changes tie to the last bits
+    share it, and the near set is usually one packet.
 
     Guarantees, in both modes (the acceptance gate re-derives each one
     through ``discrete_cost``):
@@ -281,38 +353,82 @@ def greedy_allocate(
     imax = [0] * n
     per = idle_costs(bits)
     total = float(sum(per))
+    drift = n * _U * total  # A above: bounds |total - sum(per)|
     # Per packet: its slots in order, its load runs as [index into those
     # slots, load], its adds as (new D_i, slot, run index), one per run, and
     # the power term of its open (the delay term depends on the slot).
+    # Before the first slot opens, each packet has its open and no add.
     slots: list[list[int]] = [[] for _ in range(n)]
     runs: list[list[list[int]]] = [[] for _ in range(n)]
-    adds: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]
-    open_pow = [0.0] * n
+    adds: list[Sequence[tuple[float, int, int]]] = [()] * n
+    open_pow = [2.0 ** (b - table[1]) for b in bits] if budget else []
+    # The add and open heaps of (key, packet, version) entries; the top of
+    # each is always live.
+    add_heap: list[tuple[float, int, int]] = []
+    open_heap = [(o - p, i, 0) for i, (o, p) in enumerate(zip(open_pow, per))]
+    heapify(open_heap)
+    ver = [0] * n
+    cap = 2 * n + 16
+    inf = math.inf
 
     def rescore(i: int) -> None:
         head = bits[i] - sent[i]
         delay = slot_len * imax[i]
-        adds[i] = [
-            (2.0 ** (head - table[r + 1] + table[r]) + delay, slots[i][pos], k)
-            for k, (pos, r) in enumerate(runs[i])
-            if r < budget  # table ends at r = budget, which ends the loop
-        ]
+        adds[i] = cands = []
+        low = inf
+        for k, (pos, r) in enumerate(runs[i]):
+            if r < budget:  # table ends at r = budget, which ends the loop
+                new_d = 2.0 ** (head - table[r + 1] + table[r]) + delay
+                cands.append((new_d, slots[i][pos], k))
+                if new_d < low:
+                    low = new_d
         open_pow[i] = 2.0 ** (head - table[1])
+        v = ver[i] = ver[i] + 1
+        p = per[i]
+        # Packet i's old entry, if it is a top, is replaced (and stale
+        # entries under it popped); one elsewhere is left stale.
+        if add_heap and add_heap[0][1] == i:
+            if cands:
+                heapreplace(add_heap, (low - p, i, v))
+            else:
+                heappop(add_heap)
+            while add_heap and add_heap[0][2] != ver[add_heap[0][1]]:
+                heappop(add_heap)
+        elif cands:
+            heappush(add_heap, (low - p, i, v))
+            if len(add_heap) > cap:
+                _drop_stale(add_heap, ver)
+        if open_heap[0][1] == i:
+            heapreplace(open_heap, (open_pow[i] - p, i, v))
+            while open_heap[0][2] != ver[open_heap[0][1]]:
+                heappop(open_heap)
+        else:
+            heappush(open_heap, (open_pow[i] - p, i, v))
+            if len(open_heap) > cap:
+                _drop_stale(open_heap, ver)
 
-    if budget:
-        for i in range(n):
-            rescore(i)
     trace: list[TraceStep] = []
     spent = 0
+    u, margin, max_slots = _U, _MARGIN, params.max_slots
     while spent < budget:
         j_open = len(owner) + 1
-        can_open = j_open <= params.max_slots
+        can_open = j_open <= max_slots
         open_delay = slot_len * j_open
+        m_add = add_heap[0][0] if add_heap else inf
+        m_open = open_heap[0][0] + open_delay if can_open else inf
+        m = m_open if m_open < m_add else m_add
+        if m == inf:
+            break  # no candidate
+        bound = m + margin * (abs(total) + drift + abs(m) + open_delay)
+        near = _near(add_heap, bound, ver) if m_add <= bound else []
+        if m_open <= bound:
+            near += _near(open_heap, bound - open_delay, ver)
+        if len(near) > 1:
+            near = sorted(set(near))
         # (new total, slot) decides; packets are visited in order, so a tie
-        # on both keeps the smaller packet.  best_j stays past j_open only
-        # when there is no candidate.
-        best_total, best_j, best_i, best_k, best_d = math.inf, j_open + 1, 0, 0, 0.0
-        for i in range(n):
+        # on both keeps the smaller packet.
+        best_total, best_j, best_i, best_k, best_d = inf, j_open + 1, 0, 0, 0.0
+        for i in near:
             base = total - per[i]
             for new_d, j, k in adds[i]:
                 v = base + new_d
@@ -323,8 +439,6 @@ def greedy_allocate(
                 v = base + new_d
                 if v < best_total or (v == best_total and j_open < best_j):
                     best_total, best_j, best_i, best_k, best_d = v, j_open, i, 0, new_d
-        if best_j > j_open:
-            break
         if not spend_all and best_total >= total:
             break
         i, j, k = best_i, best_j, best_k
@@ -353,14 +467,17 @@ def greedy_allocate(
                 del run[k]
             if not (k and run[k - 1][1] == r + 1):
                 run.insert(k, [pos, r + 1])
+        drift += u * (abs(total - per[i]) + abs(best_total))
         per[i] = best_d
         total = best_total
         spent += 1
         rescore(i)
         trace.append(TraceStep(spent, action, j, i + 1, total))
 
+    # Owners, the slot cap and the budget hold by construction, and
+    # idle_costs has checked the bits.
     alloc = DiscreteAllocation(tuple(owner), tuple(quanta))
-    return alloc, discrete_cost(inst, params, alloc), tuple(trace)
+    return alloc, _checked_cost(bits, params, alloc), tuple(trace)
 
 
 def _compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -451,8 +568,8 @@ def oracle_allocate(
             total = sum(_packet_costs(bits, params, *cand, table))
             if total < best_total:
                 (best_owner, best_quanta), best_total = cand, total
-    alloc = DiscreteAllocation(best_owner, best_quanta)
-    return alloc, discrete_cost(inst, params, alloc)
+    alloc = DiscreteAllocation(best_owner, best_quanta)  # within the caps by construction
+    return alloc, _checked_cost(bits, params, alloc)
 
 
 def certificate_sweep() -> Iterator[tuple[Instance, DiscreteParams]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Callable, Mapping
 
@@ -164,12 +165,7 @@ def check_supermodular(
     if exhaustive is None:
         exhaustive = m <= _EXHAUSTIVE_MAX
     probe = _Probe(SUPERMODULAR_TOL)
-    cache: dict[frozenset, float] = {}
-
-    def fv(s: frozenset) -> float:
-        if s not in cache:
-            cache[s] = f.fn(s)
-        return cache[s]
+    fv = cache(f.fn)  # each subset is evaluated once
 
     def visit(s: frozenset, i, j) -> None:
         slack = fv(s) + fv(s | {i, j}) - fv(s | {i}) - fv(s | {j})
@@ -199,8 +195,8 @@ def check_monotone(
 ) -> PropertyReport:
     """Probe f(S + x) <= f(S): adding resources never increases cost.
 
-    Exhaustive or sampled as in ``check_supermodular``; raises
-    ``ValueError`` for ``trials < 0``.
+    Exhaustive or sampled as in ``check_supermodular``, and like it
+    evaluates each subset once; raises ``ValueError`` for ``trials < 0``.
     """
     _check_trials(trials)
     ground = _ground_checked(f)
@@ -208,9 +204,10 @@ def check_monotone(
     if exhaustive is None:
         exhaustive = m <= _EXHAUSTIVE_MAX
     probe = _Probe(MONOTONE_TOL)
+    fv = cache(f.fn)
 
     def visit(s: frozenset, x) -> None:
-        slack = f.fn(s) - f.fn(s | {x})
+        slack = fv(s) - fv(s | {x})
         probe.record(slack, (s, x))
 
     if exhaustive:

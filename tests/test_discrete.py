@@ -253,6 +253,22 @@ def test_trace_csv_shape():
     assert lines[1].startswith("1,open,1,1,")
 
 
+def test_trace_step_is_slotted_and_unchanged():
+    step = TraceStep(3, "add", 2, 1, 0.1 + 0.2)
+    assert not hasattr(step, "__dict__")
+    assert repr(step) == (
+        "TraceStep(iteration=3, action='add', slot=2, packet=1, "
+        "total_cost=0.30000000000000004)"
+    )
+    assert step == TraceStep(3, "add", 2, 1, 0.30000000000000004)
+    assert hash(step) == hash(TraceStep(3, "add", 2, 1, 0.30000000000000004))
+    with pytest.raises(AttributeError):
+        step.slot = 5
+    assert trace_to_csv((step,)) == (
+        "iteration,action,slot,packet,total_cost\n3,add,2,1,0.30000000000000004\n"
+    )
+
+
 def test_certificate_sweep_shape():
     pairs = list(certificate_sweep())
     assert len(pairs) == 936
@@ -341,6 +357,46 @@ def test_greedy_matches_full_scan_reference():
             got = greedy_allocate(inst, params, spend_all)
             want = _full_scan_greedy(inst, params, spend_all)
             assert repr(got) == repr(want), (inst, params, spend_all)
+
+
+def _tie_runs(seed):
+    """Runs the near-set re-check must get right: many equal packets, so
+    that exact ties cross packets; a slot cap below Q, so that opens close
+    mid-run; Q = 0; 2**60 packets beside small ones, whose rounding drops
+    the small packets' costs from the running total; and sizes within
+    1e-14 of each other."""
+    rng = random.Random(seed)
+    for n in (64, 97, 256):
+        sizes = (rng.choice((2.0, 3.0, 5.0)), round(rng.uniform(4.0, 12.0), 2))
+        bits = tuple(sizes[k % 7 == 0] for k in range(n))
+        q = n * 3
+        inst = Instance(bits, float(q))
+        yield inst, DiscreteParams.for_instance(inst, 0.25, 1.0, max_slots=q // 4)
+        yield inst, DiscreteParams.for_instance(inst, 0.5, 1.0, max_slots=0)
+        zero = Instance(bits, 0.0)
+        yield zero, DiscreteParams.for_instance(zero, 1.0, 1.0)
+    drift = Instance((60.0, 3.0, 3.0, 2.0, 60.0, 1.0), 40.0)
+    for slot_len in (0.1, 1.0):
+        yield drift, DiscreteParams.for_instance(drift, slot_len, 0.5, max_slots=12)
+    # Sizes within 1e-14 of each other: their keys differ by less than the
+    # margin, so several packets are near and leave the heaps out of index order.
+    for size, q in ((3.0, 49), (5.0, 4)):
+        offsets = (1e-14, 0, -1e-15, 1.2e-15, 0, -1e-15, 3e-16, 1e-14, 0, 0, 1e-14)
+        close = Instance(tuple(size * (1 + d) for d in offsets), 0.5 * q)
+        yield close, DiscreteParams.for_instance(close, 0.1, 0.5, max_slots=6)
+
+
+def test_greedy_near_set_matches_full_scan_reference():
+    # The step re-scans only the packets whose heap key lies within the
+    # rounding margin of the least key; it must still pick the full scan's winner.
+    runs = list(_tie_runs(seed=11))
+    assert any(p.budget_quanta == 0 for _, p in runs)
+    assert any(0 < p.max_slots < p.budget_quanta for _, p in runs)
+    for inst, params in runs:
+        for spend_all in (False, True):
+            got = greedy_allocate(inst, params, spend_all)
+            want = _full_scan_greedy(inst, params, spend_all)
+            assert repr(got) == repr(want), (inst.n, params, spend_all)
 
 
 def test_greedy_float_tie_adds_above_least_loaded_slot():

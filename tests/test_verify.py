@@ -116,6 +116,45 @@ def test_monotone_sampled_determinism():
     assert first.trials == 250
 
 
+def _cells10(cell_bits, slot_len, slots=None):
+    """Packet 1's full discrete cost over 10 cells: 3 slots x 4 levels, cut to 10."""
+    inst = Instance((cell_bits,), 4.0)
+    params = DiscreteParams(slot_len, 1.0, 4, 3)
+    sf = di_as_set_function(inst, params, 1, slots or {1: 1, 2: 1, 3: 1}, max_level=4)
+    return SetFunction(sf.ground[:10], sf.fn)
+
+
+def _uncached_monotone(f):
+    """Reference exhaustive monotone probe: two calls of f.fn per (S, x)."""
+    probe = verify._Probe(verify.MONOTONE_TOL)
+    ground = tuple(f.ground)
+    for mask in range(1 << len(ground)):
+        s = verify._subset_of(ground, mask)
+        for b, g in enumerate(ground):
+            if not mask >> b & 1:
+                probe.record(f.fn(s) - f.fn(s | {g}), (s, g))
+    return probe.report("monotone")
+
+
+def test_monotone_evaluates_each_subset_once():
+    calls = []
+    inner = _cells10(2.5, 0.5)
+    counting = SetFunction(inner.ground, lambda s: calls.append(s) or inner.fn(s))
+    report = check_monotone(counting, exhaustive=True)
+    assert len(calls) == len(set(calls)) == 1 << 10
+    assert report.trials == 10 * (1 << 9)
+
+
+def test_monotone_report_matches_uncached_probe():
+    # The values are the same, so the report is too, down to its repr.
+    for sf in (
+        _cells10(2.5, 0.5),
+        _cells10(1.25, 1.0),
+        _cells10(3.75, 0.5, {1: 1, 3: 1}),
+    ):
+        assert repr(check_monotone(sf, exhaustive=True)) == repr(_uncached_monotone(sf))
+
+
 def _single_packet_setup(max_slots=3, levels=2):
     inst = Instance((2.0,), 2.0)
     params = DiscreteParams(1.0, 1.0, levels, max_slots)

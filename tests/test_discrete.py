@@ -9,6 +9,7 @@ import pytest
 
 from edds.model import InfeasibleError, Instance, SizeError
 from edds.discrete import (
+    MAX_QUANTA,
     ORACLE_CAPS,
     DiscreteAllocation,
     DiscreteParams,
@@ -54,8 +55,10 @@ def test_for_instance_caps_the_budget():
     for quantum in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="positive"):
             DiscreteParams.for_instance(Instance((2.0,), 2.0), 1.0, quantum)
-    params = DiscreteParams.for_instance(Instance((2.0,), 1e7), 1.0, 1.0)
-    assert params.budget_quanta == 10_000_000
+    params = DiscreteParams.for_instance(Instance((2.0,), MAX_QUANTA), 1.0, 1.0)
+    assert params.budget_quanta == MAX_QUANTA == 1_000_000
+    with pytest.raises(SizeError, match="above the cap"):
+        DiscreteParams.for_instance(Instance((2.0,), MAX_QUANTA + 1), 1.0, 1.0)
 
 
 def test_allocation_validation_and_doc_roundtrip():
@@ -276,9 +279,11 @@ def test_certificate_sweep_shape():
 
 
 def _full_scan_greedy(inst, params, spend_all=False):
-    """Reference greedy: scores every open slot at every step, O(slots) a step."""
+    """Reference greedy: keys every occupied slot and every open at every
+    step, O(slots + n) a step, and takes the least (key, slot, packet)."""
     bits = inst.bits
     n = inst.n
+    slot_len = params.slot_len
     table = _slot_bit_table(params, params.budget_quanta)
     owner, quanta = [], []
     sent = [0.0] * n
@@ -290,32 +295,32 @@ def _full_scan_greedy(inst, params, spend_all=False):
     while spent < params.budget_quanta:
         best = None
         for j, (p, r) in enumerate(zip(owner, quanta), start=1):
-            i = p - 1
-            new_d = (
-                2.0 ** (bits[i] - sent[i] - table[r + 1] + table[r])
-                + params.slot_len * imax[i]
-            )
-            cand = (total - per[i] + new_d, j, p, "add", new_d)
+            head = bits[p - 1] - sent[p - 1]
+            new_pow = 2.0 ** (head - table[r + 1] + table[r])
+            cand = (new_pow - 2.0 ** head, j, p, new_pow + slot_len * imax[p - 1])
             if best is None or cand[:3] < best[:3]:
                 best = cand
-        if len(owner) < params.max_slots:
-            j = len(owner) + 1
+        j = len(owner) + 1
+        if j <= params.max_slots:
             for p in range(1, n + 1):
-                i = p - 1
-                new_d = 2.0 ** (bits[i] - sent[i] - table[1]) + params.slot_len * j
-                cand = (total - per[i] + new_d, j, p, "open", new_d)
+                open_pow = 2.0 ** (bits[p - 1] - sent[p - 1] - table[1])
+                key = (open_pow - per[p - 1]) + slot_len * j
+                cand = (key, j, p, open_pow + slot_len * j)
                 if best is None or cand[:3] < best[:3]:
                     best = cand
         if best is None:
             break
-        new_total, j, p, action, new_d = best
+        _, j, p, new_d = best
+        i = p - 1
+        new_total = total - per[i] + new_d
         if not spend_all and new_total >= total:
             break
-        i = p - 1
-        if action == "add":
+        if j <= len(owner):
+            action = "add"
             sent[i] += table[quanta[j - 1] + 1] - table[quanta[j - 1]]
             quanta[j - 1] += 1
         else:
+            action = "open"
             owner.append(p)
             quanta.append(1)
             sent[i] += table[1]
@@ -344,27 +349,12 @@ def _random_runs(count, seed):
         yield inst, DiscreteParams.for_instance(inst, slot_len, quantum, max_slots)
 
 
-def test_greedy_matches_full_scan_reference():
-    # Scoring one add per load run must change no output, not even at float ties.
-    tie = Instance((24.0, 25.0), 3000.0)
-    runs = [
-        *certificate_sweep(),
-        *_random_runs(60, seed=6),
-        (tie, DiscreteParams.for_instance(tie, 1.0, 1.0)),
-    ]
-    for inst, params in runs:
-        for spend_all in (False, True):
-            got = greedy_allocate(inst, params, spend_all)
-            want = _full_scan_greedy(inst, params, spend_all)
-            assert repr(got) == repr(want), (inst, params, spend_all)
-
-
 def _tie_runs(seed):
-    """Runs the near-set re-check must get right: many equal packets, so
-    that exact ties cross packets; a slot cap below Q, so that opens close
-    mid-run; Q = 0; 2**60 packets beside small ones, whose rounding drops
-    the small packets' costs from the running total; and sizes within
-    1e-14 of each other."""
+    """Runs full of float ties: many equal packets, so that exact ties cross
+    packets; a slot cap below Q, so that opens close mid-run; Q = 0; 2**60
+    packets beside small ones, whose rounding drops the small packets' costs
+    from the running total; sizes within 1e-14 of each other; and B=(24, 25),
+    whose changes fall below one ulp of the running total."""
     rng = random.Random(seed)
     for n in (64, 97, 256):
         sizes = (rng.choice((2.0, 3.0, 5.0)), round(rng.uniform(4.0, 12.0), 2))
@@ -375,21 +365,21 @@ def _tie_runs(seed):
         yield inst, DiscreteParams.for_instance(inst, 0.5, 1.0, max_slots=0)
         zero = Instance(bits, 0.0)
         yield zero, DiscreteParams.for_instance(zero, 1.0, 1.0)
-    drift = Instance((60.0, 3.0, 3.0, 2.0, 60.0, 1.0), 40.0)
+    huge = Instance((60.0, 3.0, 3.0, 2.0, 60.0, 1.0), 40.0)
     for slot_len in (0.1, 1.0):
-        yield drift, DiscreteParams.for_instance(drift, slot_len, 0.5, max_slots=12)
-    # Sizes within 1e-14 of each other: their keys differ by less than the
-    # margin, so several packets are near and leave the heaps out of index order.
+        yield huge, DiscreteParams.for_instance(huge, slot_len, 0.5, max_slots=12)
     for size, q in ((3.0, 49), (5.0, 4)):
         offsets = (1e-14, 0, -1e-15, 1.2e-15, 0, -1e-15, 3e-16, 1e-14, 0, 0, 1e-14)
         close = Instance(tuple(size * (1 + d) for d in offsets), 0.5 * q)
         yield close, DiscreteParams.for_instance(close, 0.1, 0.5, max_slots=6)
+    tie = Instance((24.0, 25.0), 3000.0)
+    yield tie, DiscreteParams.for_instance(tie, 1.0, 1.0)
 
 
-def test_greedy_near_set_matches_full_scan_reference():
-    # The step re-scans only the packets whose heap key lies within the
-    # rounding margin of the least key; it must still pick the full scan's winner.
-    runs = list(_tie_runs(seed=11))
+def test_greedy_matches_full_scan_reference():
+    # One add per packet, at its first least-loaded slot, and two heaps must
+    # pick exactly the full scan's move, float ties included.
+    runs = [*certificate_sweep(), *_random_runs(60, seed=6), *_tie_runs(seed=11)]
     assert any(p.budget_quanta == 0 for _, p in runs)
     assert any(0 < p.max_slots < p.budget_quanta for _, p in runs)
     for inst, params in runs:
@@ -399,22 +389,28 @@ def test_greedy_near_set_matches_full_scan_reference():
             assert repr(got) == repr(want), (inst.n, params, spend_all)
 
 
-def test_greedy_float_tie_adds_above_least_loaded_slot():
-    # At step 300 the candidates' changes are below one ulp of the total, so
-    # the tie goes to packet 2's slot 1 at load 7 although its other slots hold 6.
-    inst = Instance((24.0, 25.0), 3000.0)
-    _, _, trace = greedy_allocate(inst, DiscreteParams.for_instance(inst, 1.0, 1.0))
-    owner, quanta = [], []
-    for step in trace[:299]:
-        if step.action == "open":
-            owner.append(step.packet)
-            quanta.append(1)
-        else:
-            quanta[step.slot - 1] += 1
-    step = trace[299]
-    assert (step.action, step.slot, step.packet) == ("add", 1, 2)
-    loads = [r for p, r in zip(owner, quanta) if p == 2]
-    assert loads[0] == 7 and min(loads) == 6
+def test_greedy_adds_at_first_least_loaded_slot():
+    # Replays each trace: every add lands on its packet's first least-loaded
+    # slot.  The last run opens slot 3 while slots 1 and 2 hold 5 quanta,
+    # so the late slot fills alone, (5, 5, 1) to (5, 5, 5): each time it is
+    # the whole least-loaded suffix, its index must stay on slot 3.
+    late = Instance((9.3,), 0.05 * 31)
+    runs = [*certificate_sweep(), *_random_runs(60, seed=6), *_tie_runs(seed=11),
+            (late, DiscreteParams.for_instance(late, 2.0, 0.05))]
+    for inst, params in runs:
+        for spend_all in (False, True):
+            _, _, trace = greedy_allocate(inst, params, spend_all)
+            owner, quanta = [], []
+            for step in trace:
+                if step.action == "open":
+                    owner.append(step.packet)
+                    quanta.append(1)
+                    continue
+                mine = [j for j, p in enumerate(owner, start=1) if p == step.packet]
+                least = min(quanta[j - 1] for j in mine)
+                first = next(j for j in mine if quanta[j - 1] == least)
+                assert step.slot == first, (inst.n, params, spend_all, step)
+                quanta[step.slot - 1] += 1
 
 
 def test_greedy_loads_one_slot_with_the_whole_budget():

@@ -378,8 +378,20 @@ def _tie_runs(seed):
 
 def test_greedy_matches_full_scan_reference():
     # One add per packet, at its first least-loaded slot, and two heaps must
-    # pick exactly the full scan's move, float ties included.
-    runs = [*certificate_sweep(), *_random_runs(60, seed=6), *_tie_runs(seed=11)]
+    # pick exactly the full scan's move.
+    runs = [*certificate_sweep(), *_random_runs(60, seed=6)]
+    for inst, params in runs:
+        for spend_all in (False, True):
+            got = greedy_allocate(inst, params, spend_all)
+            want = _full_scan_greedy(inst, params, spend_all)
+            assert repr(got) == repr(want), (inst.n, params, spend_all)
+
+
+def test_greedy_near_set_matches_full_scan_reference():
+    # Packets whose keys lie within rounding of the least key (the near set)
+    # must not change the pick: on the tie runs the step must still choose
+    # the full scan's move.
+    runs = list(_tie_runs(seed=11))
     assert any(p.budget_quanta == 0 for _, p in runs)
     assert any(0 < p.max_slots < p.budget_quanta for _, p in runs)
     for inst, params in runs:
@@ -387,7 +399,6 @@ def test_greedy_matches_full_scan_reference():
             got = greedy_allocate(inst, params, spend_all)
             want = _full_scan_greedy(inst, params, spend_all)
             assert repr(got) == repr(want), (inst.n, params, spend_all)
-
 
 def test_greedy_adds_at_first_least_loaded_slot():
     # Replays each trace: every add lands on its packet's first least-loaded

@@ -1,21 +1,27 @@
-"""Named micro-benchmarks for one checkout of edds, merged into a BENCH json file.
+"""Named micro-benchmarks for one or more checkouts of edds, merged into a BENCH json file.
 
-Each case is timed as the least wall time of five runs (after one warm-up
-run), next to the work counts that the public outputs give: candidate rows
+Each ``--src`` checkout's ``src/edds`` is imported as its own package, so
+its functions keep their own module globals, and all of them are timed in
+one process.  Every case runs once per checkout as a warm-up, then
+``PASSES`` times, alternating across the checkouts pass by pass (the first
+checkout to run rotates each pass), so that drift in the host's speed falls
+on all of them alike.  Each label keeps every pass's wall time and their
+least, next to the work counts that the public outputs give: candidate rows
 the oracle scores, probe trials, greedy steps, multiplier steps and orders
-solved.  ``--src`` points at any checkout (its ``src/`` is imported), so
-the same cases time a parent and a change:
+solved.  Time a parent against a change with
 
-    python bench/run.py --src ../parent --label parent --out BENCH_11.json
-    python bench/run.py --label change --out BENCH_11.json
+    python bench/run.py --src ../parent --label parent --src . --label change \\
+        --out BENCH_14.json
 
-Each run replaces its label's entry in ``--out`` and keeps the others.
-Uses only the standard library and NumPy.
+With no ``--src``, this checkout is timed alone, as ``change``.  Each
+label's entry in ``--out`` is replaced and the others are kept.  Uses only
+the standard library and NumPy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -24,7 +30,7 @@ import sys
 import time
 from pathlib import Path
 
-REPEATS = 5
+PASSES = 9
 
 
 def _oracle_rows(n: int, q: int, slots: int) -> int:
@@ -32,17 +38,27 @@ def _oracle_rows(n: int, q: int, slots: int) -> int:
     return sum(n**j * math.comb(q, j) for j in range(1, min(q, slots) + 1))
 
 
-def cases() -> dict:
-    """name -> (run, work): run() does the case once, work(result) counts it."""
-    from edds.csolve import solve_fixed_order
-    from edds.discrete import DiscreteParams, certificate_sweep, greedy_allocate, oracle_allocate
-    from edds.model import Instance, Order
-    from edds.order import brute_force_order
-    from edds.verify import check_convexity
+def load(src: Path, alias: str):
+    """Import ``src/src/edds`` as the package ``alias``, with its own submodules."""
+    init = src / "src" / "edds" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        alias, init, submodule_search_locations=[str(init.parent)]
+    )
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = pkg
+    spec.loader.exec_module(pkg)  # its relative imports register alias.model, ...
+    return pkg
 
+
+def cases(edds) -> dict:
+    """name -> (run, work): run() does the case once, work(result) counts it."""
     import numpy as np
 
-    sweep = list(certificate_sweep())
+    Instance, Order = edds.model.Instance, edds.model.Order
+    DiscreteParams = edds.discrete.DiscreteParams
+    greedy_allocate, oracle_allocate = edds.discrete.greedy_allocate, edds.discrete.oracle_allocate
+
+    sweep = list(edds.discrete.certificate_sweep())
     refs = {"ref1": Instance((15.0, 20.0), 50.0), "ref2": Instance((12.0, 20.0), 20.0)}
     solve_inst = Instance((3.0, 8.0, 15.0, 24.0), 30.0)
     brute_inst = Instance(tuple(float(b) for b in range(3, 17, 2)), 40.0)
@@ -56,7 +72,8 @@ def cases() -> dict:
     }
     for name, inst in refs.items():
         out[f"convexity-{name}-1000"] = (
-            lambda inst=inst: check_convexity(inst, Order.identity(2), trials=1000, seed=0),
+            lambda inst=inst: edds.verify.check_convexity(
+                inst, Order.identity(2), trials=1000, seed=0),
             lambda rep: {"trials": rep.trials},
         )
     # Random sizes of 1 to 25 bits, l = 0.5, e = 1; the name without a suffix
@@ -78,50 +95,66 @@ def cases() -> dict:
         lambda res: {"instances": len(res), "steps": sum(len(r[2]) for r in res)},
     )
     out["solve-n4"] = (
-        lambda: solve_fixed_order(solve_inst, Order.identity(4)),
+        lambda: edds.csolve.solve_fixed_order(solve_inst, Order.identity(4)),
         lambda rep: {"multiplier_steps": rep.iterations},
     )
     out["brute-n7"] = (
-        lambda: brute_force_order(brute_inst),
+        lambda: edds.order.brute_force_order(brute_inst),
         lambda _: {"orders": math.factorial(brute_inst.n)},
     )
     return out
 
 
-def measure(src: Path) -> dict:
-    sys.path.insert(0, str(src / "src"))
+def measure(srcs: list[Path], labels: list[str]) -> dict:
+    """label -> entry, every case timed across the checkouts pass by pass."""
     import numpy as np
 
-    results = {}
-    for name, (run, work) in cases().items():
-        result = run()  # warm-up: caches, imports, allocator
-        best = math.inf
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - start)
-        results[name] = {"min_wall_s": round(best, 6), "work": work(result)}
-    return {
-        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                 "python": platform.python_version(), "numpy": np.__version__},
-        "repeats": REPEATS,
-        "cases": results,
-    }
+    trees = [cases(load(src, f"_edds_bench{k}")) for k, src in enumerate(srcs)]
+    host = {"machine": platform.machine(), "cpus": os.cpu_count(),
+            "python": platform.python_version(), "numpy": np.__version__}
+    entries = {label: {"host": host, "passes": PASSES, "interleaved_with": labels,
+                       "cases": {}} for label in labels}
+    for name in trees[0]:
+        for label, tree in zip(labels, trees):
+            run, work = tree[name]
+            result = run()  # warm-up: caches, imports, allocator
+            entries[label]["cases"][name] = {"walls_s": [], "work": work(result)}
+    for p in range(PASSES):
+        for name in trees[0]:
+            for j in range(len(trees)):
+                k = (j + p) % len(trees)
+                run = trees[k][name][0]
+                start = time.perf_counter()
+                run()
+                wall = time.perf_counter() - start
+                entries[labels[k]]["cases"][name]["walls_s"].append(round(wall, 6))
+    for entry in entries.values():
+        for case in entry["cases"].values():
+            case["min_wall_s"] = min(case["walls_s"])
+    return entries
 
 
 def main(argv=None) -> int:
     here = Path(__file__).resolve().parents[1]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=here, help="checkout to time (default: this one)")
-    parser.add_argument("--label", default="change", help="entry name in the output file")
+    parser.add_argument("--src", type=Path, action="append",
+                        help="checkout to time; repeat to interleave (default: this one)")
+    parser.add_argument("--label", action="append",
+                        help="entry name in the output file, one per --src (default: change)")
     parser.add_argument("--out", type=Path, required=True, help="BENCH json file to update")
     args = parser.parse_args(argv)
-    entry = measure(args.src.resolve())
+    srcs = [s.resolve() for s in args.src or [here]]
+    labels = args.label or ["change"]
+    if len(labels) != len(srcs) or len(set(labels)) != len(labels):
+        parser.error("give one distinct --label per --src")
+    entries = measure(srcs, labels)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("runs", {})[args.label] = entry
+    doc.setdefault("runs", {}).update(entries)
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for name, case in entry["cases"].items():
-        print(f"{args.label:8s} {name:24s} {case['min_wall_s'] * 1e3:10.2f} ms  {case['work']}")
+    for name in entries[labels[0]]["cases"]:
+        for label in labels:
+            case = entries[label]["cases"][name]
+            print(f"{label:8s} {name:24s} {case['min_wall_s'] * 1e3:10.2f} ms  {case['work']}")
     return 0
 
 

@@ -86,6 +86,20 @@ def _load_config(path: str | None) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise _UsageError("config must be a JSON object")
+
+    def number(x) -> bool:  # not a bool, and an int that a float can hold
+        return type(x) is float or type(x) is int and abs(x) <= sys.float_info.max
+
+    checks = {
+        "bits": ("a list of numbers", lambda v: type(v) is list and all(map(number, v))),
+        "energy": ("a number", number),
+        "slot_len": ("a number", number),
+        "quantum": ("a number", number),
+        "solver": ("an object", lambda v: type(v) is dict),
+    }
+    for key, (want, ok) in checks.items():
+        if key in doc and not ok(doc[key]):
+            raise _UsageError(f"config field {key!r} must be {want}, got {doc[key]!r}")
     return doc
 
 

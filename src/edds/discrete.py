@@ -143,12 +143,7 @@ def trace_to_csv(trace: Sequence[TraceStep]) -> str:
 
 def _slot_bit_table(params: DiscreteParams, r_max: int) -> list[float]:
     """table[r] = bits a slot carries when loaded with r quanta."""
-    # Not shannon_bits: libm's log1p, whose last-ulp ties the greedy's steps rest on.
-    ln2 = math.log(2.0)
-    return [
-        params.slot_len * math.log1p(params.quantum * r / params.slot_len) / ln2
-        for r in range(r_max + 1)
-    ]
+    return shannon_bits(params.quantum * np.arange(r_max + 1), params.slot_len).tolist()
 
 
 def idle_costs(bits: Sequence[float]) -> list[float]:
@@ -215,20 +210,17 @@ def discrete_cost(
             f"allocation spends {sum(alloc.quanta)} quanta against a budget of "
             f"{params.budget_quanta}"
         )
-    return _checked_cost(inst.bits, params, alloc)
+    table = _slot_bit_table(params, max(alloc.quanta, default=0))
+    return _checked_cost(inst.bits, params, alloc, table)
 
 
 def _checked_cost(
-    bits: Sequence[float], params: DiscreteParams, alloc: DiscreteAllocation
+    bits: Sequence[float], params: DiscreteParams, alloc: DiscreteAllocation, table: list[float]
 ) -> DiscreteCost:
-    """``discrete_cost`` of an allocation already known to pass its checks."""
-    r_max = max(alloc.quanta, default=0)
-    table = [0.0]
-    if r_max:
-        # The public NumPy rate function, not the greedy's libm table, so
-        # that this cost re-derives the greedy's totals independently.
-        r = np.arange(1, r_max + 1)
-        table += shannon_bits(params.quantum * r, params.slot_len).tolist()
+    """``discrete_cost`` of an allocation already known to pass its checks.
+
+    ``table`` is a ``_slot_bit_table`` that reaches the allocation's largest load.
+    """
     per = _packet_costs(bits, params, alloc.owner, alloc.quanta, table)
     return DiscreteCost(tuple(per), float(sum(per)))
 
@@ -301,8 +293,11 @@ def greedy_allocate(
     on a plateau that no single quantum crosses (B=1, l=1, e=1, Q=2 keeps
     cost 2.0 against the optimum 1.6667), and one quantum at a time can
     settle on the wrong slot count (B=2, l=0.5, e=1, Q=4 gives (4,) at
-    1.8333 against (2, 2) at 1.8).  Only ``greedy <= 2 x optimum`` is
-    certified, over ``certificate_sweep``.
+    1.8333 against (2, 2) at 1.8).  ``greedy <= 2 x optimum`` is certified
+    on ``certificate_sweep`` only, and fails off it: B=(4, 7), E=12, l=1,
+    e=0.5 costs 22.1756 in both modes, while packet 1 in slot 1 with 8
+    quanta and packet 2 in slots 2-5 with 4 quanta each costs 10.7802, a
+    ratio of 2.057.
     """
     bits = inst.bits
     n = inst.n
@@ -389,7 +384,7 @@ def greedy_allocate(
     # Owners, the slot cap and the budget hold by construction, and
     # idle_costs has checked the bits.
     alloc = DiscreteAllocation(tuple(owner), tuple(quanta))
-    return alloc, _checked_cost(bits, params, alloc), tuple(trace)
+    return alloc, _checked_cost(bits, params, alloc, table), tuple(trace)
 
 
 def _compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -467,8 +462,8 @@ def oracle_allocate(
     best_quanta: tuple[int, ...] = ()
     best_total = float(sum(idle_costs(bits)))  # J = 0: nothing sent
     width = min(params.max_slots, params.budget_quanta)
+    table = _slot_bit_table(params, params.budget_quanta)
     if width:
-        table = _slot_bit_table(params, params.budget_quanta)
         owner, quanta, counts, last = _candidates(inst.n, params.budget_quanta, width)
         sent = counts @ np.array(table[1:])
         totals = (np.exp2(np.array(bits)[:, None] - sent) + params.slot_len * last).sum(0)
@@ -481,7 +476,7 @@ def oracle_allocate(
             if total < best_total:
                 (best_owner, best_quanta), best_total = cand, total
     alloc = DiscreteAllocation(best_owner, best_quanta)  # within the caps by construction
-    return alloc, _checked_cost(bits, params, alloc)
+    return alloc, _checked_cost(bits, params, alloc, table)
 
 
 def certificate_sweep() -> Iterator[tuple[Instance, DiscreteParams]]:

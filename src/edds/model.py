@@ -200,7 +200,6 @@ def shannon_bits(energy, time):
         raise DomainError(f"time must be at least t_min={T_MIN}")
     if (e < 0).any():
         raise DomainError("energy must be non-negative")
-    # NumPy's vectorised rate; discrete._slot_bit_table is the greedy's libm copy.
     out = t * np.log1p(e / t) / _LN2
     return float(out) if out.ndim == 0 else out
 

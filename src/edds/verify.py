@@ -140,14 +140,43 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be non-negative, got {trials}")
 
 
-def _ground_checked(f: SetFunction) -> tuple:
-    ground = tuple(f.ground)
-    check_ground_size(len(ground))
-    return ground
-
-
 def _subset_of(ground: tuple, mask: int) -> frozenset:
     return frozenset(g for b, g in enumerate(ground) if mask >> b & 1)
+
+
+def _probe_sets(name: str, tol: float, k: int, slack: Callable[..., float], f: SetFunction,
+                trials: int, seed: int, exhaustive: bool | None) -> PropertyReport:
+    """Record ``slack(fv, S, *cells)`` over sets S and k cells outside S.
+
+    The sampled mode draws a mask with at least k cells outside it, then k
+    distinct cells of those; ``fv`` evaluates each subset once.
+    """
+    _check_trials(trials)
+    ground = tuple(f.ground)
+    m = len(ground)
+    check_ground_size(m)
+    if exhaustive is None:
+        exhaustive = m <= _EXHAUSTIVE_MAX
+    probe = _Probe(tol)
+    fv = cache(f.fn)
+    if exhaustive:
+        for mask in range(1 << m):
+            s = _subset_of(ground, mask)
+            rest = [g for b, g in enumerate(ground) if not mask >> b & 1]
+            for cells in combinations(rest, k):
+                probe.record(slack(fv, s, *cells), (s, *cells))
+    else:
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            while True:
+                mask = int(rng.integers(0, 1 << m))
+                rest = [g for b, g in enumerate(ground) if not mask >> b & 1]
+                if len(rest) >= k:
+                    break
+            cells = [rest[c] for c in rng.choice(len(rest), k, replace=False)]
+            s = _subset_of(ground, mask)
+            probe.record(slack(fv, s, *cells), (s, *cells))
+    return probe.report(name)
 
 
 def check_supermodular(
@@ -159,35 +188,11 @@ def check_supermodular(
     forced); otherwise samples `trials` of them with the seeded generator.
     Raises ``ValueError`` for ``trials < 0``.
     """
-    _check_trials(trials)
-    ground = _ground_checked(f)
-    m = len(ground)
-    if exhaustive is None:
-        exhaustive = m <= _EXHAUSTIVE_MAX
-    probe = _Probe(SUPERMODULAR_TOL)
-    fv = cache(f.fn)  # each subset is evaluated once
-
-    def visit(s: frozenset, i, j) -> None:
-        slack = fv(s) + fv(s | {i, j}) - fv(s | {i}) - fv(s | {j})
-        probe.record(slack, (s, i, j))
-
-    if exhaustive:
-        for mask in range(1 << m):
-            s = _subset_of(ground, mask)
-            rest = [g for b, g in enumerate(ground) if not mask >> b & 1]
-            for i, j in combinations(rest, 2):
-                visit(s, i, j)
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            while True:
-                mask = int(rng.integers(0, 1 << m))
-                rest = [g for b, g in enumerate(ground) if not mask >> b & 1]
-                if len(rest) >= 2:
-                    break
-            i, j = (rest[k] for k in rng.choice(len(rest), 2, replace=False))
-            visit(_subset_of(ground, mask), i, j)
-    return probe.report("supermodular")
+    return _probe_sets(
+        "supermodular", SUPERMODULAR_TOL, 2,
+        lambda fv, s, i, j: fv(s) + fv(s | {i, j}) - fv(s | {i}) - fv(s | {j}),
+        f, trials, seed, exhaustive,
+    )
 
 
 def check_monotone(
@@ -198,35 +203,10 @@ def check_monotone(
     Exhaustive or sampled as in ``check_supermodular``, and like it
     evaluates each subset once; raises ``ValueError`` for ``trials < 0``.
     """
-    _check_trials(trials)
-    ground = _ground_checked(f)
-    m = len(ground)
-    if exhaustive is None:
-        exhaustive = m <= _EXHAUSTIVE_MAX
-    probe = _Probe(MONOTONE_TOL)
-    fv = cache(f.fn)
-
-    def visit(s: frozenset, x) -> None:
-        slack = fv(s) - fv(s | {x})
-        probe.record(slack, (s, x))
-
-    if exhaustive:
-        for mask in range(1 << m):
-            s = _subset_of(ground, mask)
-            for b, g in enumerate(ground):
-                if not mask >> b & 1:
-                    visit(s, g)
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            while True:
-                mask = int(rng.integers(0, 1 << m))
-                rest = [g for b, g in enumerate(ground) if not mask >> b & 1]
-                if rest:
-                    break
-            x = rest[int(rng.integers(0, len(rest)))]
-            visit(_subset_of(ground, mask), x)
-    return probe.report("monotone")
+    return _probe_sets(
+        "monotone", MONOTONE_TOL, 1, lambda fv, s, x: fv(s) - fv(s | {x}),
+        f, trials, seed, exhaustive,
+    )
 
 
 def di_as_set_function(

@@ -580,3 +580,20 @@ def test_check_on_large_packets_keeps_stderr_clean(capsys):
     assert code == 0 and err == ""
     rows = _check_rows(out)
     assert rows["convexity"]["trials"] == 1500 and rows["convexity"]["violations"] == 0
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("solve", {"bits": 5, "energy": 1}, "bits"),
+    ("solve", {"bits": [[1]], "energy": 1}, "bits"),
+    ("solve", {"bits": [1], "energy": [1]}, "energy"),
+    ("solve", {"bits": [1], "energy": 1, "solver": 5}, "solver"),
+    ("discrete", {"bits": [1], "energy": 1, "slot_len": [1], "quantum": 1}, "slot_len"),
+])
+def test_malformed_config_value_exits_1_with_one_line(capsys, tmp_path, command, doc, field):
+    # Each of these once ended in a TypeError traceback.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: config field {field!r} must be")

@@ -245,6 +245,21 @@ def test_greedy_within_twice_oracle_spot_checks():
         assert g_cost.total <= 2.0 * o_cost.total + 1e-12
 
 
+def test_greedy_exceeds_twice_optimal_off_the_sweep():
+    # The 2x bound is certified on the sweep only.  Here Q = 24: the greedy
+    # opens slots 1-6 for packet 2, after which packet 1 never transmits.
+    inst = Instance((4.0, 7.0), 12.0)
+    params = DiscreteParams.for_instance(inst, 1.0, 0.5)
+    greedy = 16 + 128 / 729 + 6  # packet 1 idle; packet 2 sends 6 x log2(3) bits
+    for spend_all in (False, True):
+        _, g_cost, _ = greedy_allocate(inst, params, spend_all)
+        assert g_cost.total == pytest.approx(greedy, rel=1e-12)
+    # Packet 1 gets slot 1 with 8 quanta, packet 2 slots 2-5 with 4 quanta each.
+    better = discrete_cost(inst, params, DiscreteAllocation((1, 2, 2, 2, 2), (8, 4, 4, 4, 4)))
+    assert better.total == pytest.approx(16 / 5 + 1 + 128 / 81 + 5, rel=1e-12)
+    assert greedy / better.total == pytest.approx(2.057057, rel=1e-6)
+
+
 def test_trace_csv_shape():
     inst = Instance((2.0,), 2.0)
     params = DiscreteParams(1.0, 1.0, 2, 2)

@@ -7,6 +7,7 @@ delay term is known to break supermodularity of the full cost.
 """
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -15,7 +16,14 @@ import pytest
 from edds import verify
 from edds.csolve import hessian_block
 from edds.model import Instance, Order, SizeError, delay_coefficients, shannon_bits
-from edds.discrete import DiscreteParams
+from edds.discrete import (
+    DiscreteAllocation,
+    DiscreteParams,
+    certificate_sweep,
+    discrete_cost,
+    greedy_allocate,
+    oracle_allocate,
+)
 from edds.verify import (
     SetFunction,
     check_convexity,
@@ -153,6 +161,72 @@ def test_monotone_report_matches_uncached_probe():
         _cells10(3.75, 0.5, {1: 1, 3: 1}),
     ):
         assert repr(check_monotone(sf, exhaustive=True)) == repr(_uncached_monotone(sf))
+
+
+# Sampled reports on a 14-cell cost, recorded before the two probes shared a
+# loop: each pins the seeded draws (S and its cells) and the slack's operand
+# order.  The grid l = 0.25, e = 1 keeps every bit-table entry the same under
+# libm's and NumPy's log1p.
+_SAMPLED_REPORTS = {
+    (3, "monotone"): "PropertyReport(name='monotone', trials=400, violations=13, "
+    "worst_witness=(frozenset({(1, 2), (2, 1), (1, 5), (1, 4), (2, 3), (2, 2), (2, 5)}), "
+    "(3, 2)), margin=-0.12849741238843182)",
+    (3, "supermodular"): "PropertyReport(name='supermodular', trials=400, violations=6, "
+    "worst_witness=(frozenset({(2, 4), (1, 2), (1, 5), (1, 1), (1, 4), (2, 3), (2, 2), "
+    "(2, 5)}), (3, 2), (3, 3)), margin=-0.16772538564455264)",
+    (11, "monotone"): "PropertyReport(name='monotone', trials=400, violations=9, "
+    "worst_witness=(frozenset({(2, 4), (1, 2), (2, 1), (1, 1), (1, 4), (2, 2), (2, 5), "
+    "(1, 3)}), (3, 1)), margin=-0.13637886197743487)",
+    (11, "supermodular"): "PropertyReport(name='supermodular', trials=400, violations=5, "
+    "worst_witness=(frozenset({(1, 3), (1, 4)}), (3, 1), (2, 1)), margin=-0.16040339248579016)",
+}
+
+
+def test_sampled_set_probes_keep_their_seeded_reports():
+    inst = Instance((0.5,), 5.0)
+    params = DiscreteParams(0.25, 1.0, 5, 3)
+    sf = di_as_set_function(inst, params, 1, {1: 1, 2: 1, 3: 1}, max_level=5)
+    sf = SetFunction(sf.ground[:14], sf.fn)
+    for (seed, name), want in _SAMPLED_REPORTS.items():
+        probe = check_monotone if name == "monotone" else check_supermodular
+        assert repr(probe(sf, trials=400, seed=seed)) == want, (seed, name)
+
+
+def _greedy_runs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 16)
+        bits = tuple(round(rng.uniform(0.5, 40.0), 3) for _ in range(n))
+        quantum = rng.choice((0.25, 0.3, 0.5, 1.0))
+        inst = Instance(bits, quantum * rng.randint(0, 300))
+        max_slots = rng.choice((None, rng.randint(0, 30)))
+        yield inst, DiscreteParams.for_instance(
+            inst, rng.choice((0.1, 0.5, 1.0, 2.0)), quantum, max_slots
+        )
+
+
+def test_probes_and_allocators_price_one_function():
+    # The set probes' D_i is discrete_cost's, bit for bit, on single-packet loads.
+    rng = random.Random(14)
+    for _ in range(3000):
+        loads = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        quantum = rng.uniform(0.05, 4.0)
+        inst = Instance((rng.uniform(0.1, 30.0),), quantum * sum(loads))
+        params = DiscreteParams(rng.uniform(0.05, 4.0), quantum, sum(loads), len(loads))
+        owned = {j: 1 for j in range(1, len(loads) + 1)}
+        sf = di_as_set_function(inst, params, 1, owned, max_level=6)
+        cells = [(j, m) for j, r in enumerate(loads, start=1) for m in range(1, r + 1)]
+        alloc = DiscreteAllocation((1,) * len(loads), loads)
+        assert sf(cells) == discrete_cost(inst, params, alloc).per_packet[0], (inst, params, loads)
+    # Each allocator's cost is discrete_cost's of its own answer, exactly.
+    def assert_priced(inst, params, alloc, cost, *_):
+        assert cost == discrete_cost(inst, params, alloc), (inst, params, alloc)
+
+    for inst, params in certificate_sweep():
+        assert_priced(inst, params, *oracle_allocate(inst, params))
+    for inst, params in [*certificate_sweep(), *_greedy_runs(200, seed=14)]:
+        for spend_all in (False, True):
+            assert_priced(inst, params, *greedy_allocate(inst, params, spend_all))
 
 
 def _single_packet_setup(max_slots=3, levels=2):

@@ -26,7 +26,6 @@ from .model import (
 )
 from .csolve import (
     SolveReport,
-    SolverConfig,
     gradient,
     hessian_block,
     project_budget,
@@ -76,7 +75,6 @@ __all__ = [
     "instance_from_doc",
     "shannon_bits",
     "SolveReport",
-    "SolverConfig",
     "gradient",
     "hessian_block",
     "project_budget",

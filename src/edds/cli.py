@@ -19,7 +19,7 @@ import math
 import sys
 
 from .model import DomainError, Instance, Order, T_MIN, instance_from_doc, shannon_bits
-from .csolve import GAP_TOL, SolveReport, SolverConfig, solve_fixed_order
+from .csolve import GAP_TOL, SolveReport, solve_fixed_order
 from .order import brute_force_order, spf_order
 from .discrete import (
     ORACLE_CAPS,
@@ -79,46 +79,26 @@ def _parse_range(text: str) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise _UsageError("config must be a JSON object")
-
-    def number(x) -> bool:  # not a bool, and an int that a float can hold
-        return type(x) is float or type(x) is int and abs(x) <= sys.float_info.max
-
-    checks = {
-        "bits": ("a list of numbers", lambda v: type(v) is list and all(map(number, v))),
-        "energy": ("a number", number),
-        "slot_len": ("a number", number),
-        "quantum": ("a number", number),
-        "solver": ("an object", lambda v: type(v) is dict),
+def _config(args, need=("bits", "energy")) -> dict:
+    """The config file's fields with the flags given merged over them; each
+    field in ``need`` must come from one or the other."""
+    doc = {}
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise _UsageError("config must be a JSON object")
+    flags = {
+        "bits": list(_parse_list(args.bits)) if args.bits else None,
+        "energy": args.energy,
+        "slot_len": getattr(args, "slot_len", None),
+        "quantum": getattr(args, "quantum", None),
     }
-    for key, (want, ok) in checks.items():
-        if key in doc and not ok(doc[key]):
-            raise _UsageError(f"config field {key!r} must be {want}, got {doc[key]!r}")
+    doc.update((k, v) for k, v in flags.items() if v is not None)
+    for key in need:
+        if key not in doc:
+            raise _UsageError(f"need --{key.replace('_', '-')} (flag or config)")
     return doc
-
-
-def _instance_from(args, doc: dict) -> Instance:
-    bits = _parse_list(args.bits) if args.bits else doc.get("bits")
-    energy = args.energy if args.energy is not None else doc.get("energy")
-    if bits is None or energy is None:
-        raise _UsageError("need --bits and --energy (flags or config)")
-    return Instance(tuple(bits), float(energy))
-
-
-def _solver_config(doc: dict) -> SolverConfig | None:
-    overrides = doc.get("solver")
-    if not overrides:
-        return None
-    bad = set(overrides) - {"max_iters"}
-    if bad:
-        raise _UsageError(f"unknown solver overrides: {sorted(bad)}")
-    return SolverConfig(**overrides)
 
 
 def _emit_json(doc: dict) -> None:
@@ -135,23 +115,22 @@ def _unconverged(what: str) -> int:
 # solve
 
 
-def _solve(args, inst: Instance, cfg: SolverConfig | None) -> SolveReport:
+def _solve(args, inst: Instance) -> SolveReport:
     """Solve in the --order given, or the one --search picks (default identity)."""
     if args.search == "brute":
-        return brute_force_order(inst, cfg)[1]
+        return brute_force_order(inst)[1]
     if args.order is not None:
         order = Order(_parse_list(args.order, int))
     elif args.search == "spf":
         order = spf_order(inst)
     else:
         order = Order.identity(inst.n)
-    return solve_fixed_order(inst, order, cfg)
+    return solve_fixed_order(inst, order)
 
 
 def cmd_solve(args) -> int:
-    doc = _load_config(args.config)
-    inst = _instance_from(args, doc)
-    report = _solve(args, inst, _solver_config(doc))
+    inst, _ = instance_from_doc(_config(args))
+    report = _solve(args, inst)
     out = {"instance": inst.to_doc(), "search": args.search}
     out.update(report.to_doc())
     _emit_json(out)
@@ -166,10 +145,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = _load_config(args.config)
-    cfg = _solver_config(doc)
     if args.surface:
-        return _sweep_surface(args, doc, cfg)
+        return _sweep_surface(args)
     if not args.fix or not args.vary:
         raise _UsageError("sweep needs either --surface or both --fix and --vary")
     fix_name, _, fix_val = args.fix.partition("=")
@@ -181,14 +158,13 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise _UsageError(f"expected {fix_name}=<number>, got {args.fix!r}")
     values = _parse_range(vary_range)
-    if args.energy is None:
-        raise _UsageError("sweep needs --energy")
+    doc = _config(args, need=("energy",))
     lines = [f"{vary_name},bhat1,bhat2,total"]
     bad = 0
     for v in values:
         bits = (fixed, v) if vary_name == "B2" else (v, fixed)
-        inst = Instance(bits, float(args.energy))
-        report = _solve(args, inst, cfg)
+        inst, _ = instance_from_doc({**doc, "bits": list(bits)})
+        report = _solve(args, inst)
         bad += not report.converged
         b1, b2 = report.cost.bhat
         lines.append(f"{v!r},{b1!r},{b2!r},{report.cost.total!r}")
@@ -206,8 +182,8 @@ def _distortion(packet: int, undelivered: float, e1: float, t1: float) -> float:
                           f"e1={e1!r}, t1={t1!r} overflows float64") from None
 
 
-def _sweep_surface(args, doc: dict, cfg: SolverConfig | None) -> int:
-    inst = _instance_from(args, doc)
+def _sweep_surface(args) -> int:
+    inst, _ = instance_from_doc(_config(args))
     if inst.n != 2:
         raise _UsageError("--surface expects exactly two packets")
     energy = inst.energy
@@ -234,7 +210,7 @@ def _sweep_surface(args, doc: dict, cfg: SolverConfig | None) -> int:
             # The tail subproblem (packet 2 alone with the leftover energy)
             # fixes t2 and bhat2 for this column of the surface.
             try:
-                rep = solve_fixed_order(Instance((b2,), e2), Order.identity(1), cfg)
+                rep = solve_fixed_order(Instance((b2,), e2), Order.identity(1))
             except DomainError as exc:  # it names its only packet "packet 1"
                 _, _, why = str(exc).partition(": ")
                 raise DomainError(f"packet 2: {why}") from None
@@ -257,14 +233,9 @@ def _sweep_surface(args, doc: dict, cfg: SolverConfig | None) -> int:
 
 
 def _discrete_inputs(args) -> tuple[Instance, DiscreteParams]:
-    doc = _load_config(args.config)
-    inst = _instance_from(args, doc)
-    slot_len = args.slot_len if args.slot_len is not None else doc.get("slot_len")
-    quantum = args.quantum if args.quantum is not None else doc.get("quantum")
-    if slot_len is None or quantum is None:
-        raise _UsageError("need --slot-len and --quantum (flags or config)")
+    inst, extras = instance_from_doc(_config(args, need=("bits", "energy", "slot_len", "quantum")))
     params = DiscreteParams.for_instance(
-        inst, float(slot_len), float(quantum), max_slots=args.max_slots
+        inst, float(extras["slot_len"]), float(extras["quantum"]), max_slots=args.max_slots
     )
     return inst, params
 
@@ -355,7 +326,7 @@ def _build_parser() -> _Parser:
     def instance_flags(p):
         p.add_argument("--bits", help="comma-separated packet sizes in bits")
         p.add_argument("--energy", type=float, help="total energy budget in joules")
-        p.add_argument("--config", help="JSON file with instance fields and solver overrides")
+        p.add_argument("--config", help="JSON file with bits, energy, slot_len and quantum")
 
     def order_flags(p):
         group = p.add_mutually_exclusive_group()

@@ -53,17 +53,7 @@ _LAM_MAX = math.log(np.finfo(float).max)
 _SNR_STEPS = 5  # four Newton steps reach 1e-14 from the start in _snr
 _ROOT_TOL = 1e-14  # |ln(spent / budget)| at which the root find stops
 GAP_TOL = 1e-12  # relative duality gap that certifies an answer
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The one knob of :func:`solve_fixed_order`: its most multiplier steps."""
-
-    max_iters: int = 200_000
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.max_iters, int) and self.max_iters > 0):
-            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+_MAX_STEPS = 200_000  # multiplier steps before a root find gives up; 7-13 certify
 
 
 @dataclass(frozen=True)
@@ -130,7 +120,7 @@ def _hessian_blocks(bits, e, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d * (g_e * g_e + t / s), d * (g_e * g_t - e / s), d * (g_t * g_t + e * e / t / s)
 
 
-def hessian_block(inst: Instance, packet: int, e: float, t: float, a: float) -> np.ndarray:
+def hessian_block(inst: Instance, packet: int, e: float, t: float) -> np.ndarray:
     """The 2x2 curvature block of one packet's cost in (E_i, t_i), exactly.
 
     D = 2**B e**-phi with phi = t ln(1 + x), x = e / t, so the block is
@@ -209,7 +199,7 @@ def _packets(lam, bits, log_a):
     return e, t, de
 
 
-def _dual_solve(bits, a, budget, max_iters):
+def _dual_solve(bits, a, budget):
     """Newton on g = ln(sum E(lam) / budget), then on sum E itself, then
     bisection, each kept inside the bracket [lo, hi].  At lo the largest
     packet alone spends the budget, whether its time is below 1 or not.
@@ -221,7 +211,7 @@ def _dual_solve(bits, a, budget, max_iters):
     row by row with math.log (np.log differs from it in the last bit on a
     few inputs), so a row's answer is bit for bit the one it gets alone.
     Returns each row's last lam, its energies and times, their sum and the
-    steps taken.
+    steps taken, at most ``_MAX_STEPS``.
     """
     hi0 = min(float(bits.max()) * _LN2, _LAM_MAX)
     lo0 = hi0 - 2.0 * max(budget, math.log1p(budget / T_MIN))
@@ -234,7 +224,7 @@ def _dual_solve(bits, a, budget, max_iters):
     lo, hi = np.full(k, lo0), np.full(k, hi0)
     x = np.full(k, max(lo0, hi0 - 1.0))
     with np.errstate(all="ignore"):
-        for it in range(1, max_iters + 1):
+        for it in range(1, _MAX_STEPS + 1):
             er, tr, de = _packets(x[:, None], bits, log_a)
             s, ds = er.sum(axis=1), de.sum(axis=1)
             g = np.array([math.log(v) for v in s.tolist()]) - log_budget
@@ -249,7 +239,7 @@ def _dual_solve(bits, a, budget, max_iters):
                 if not inside.all():
                     nxt = np.where(inside, nxt, 0.5 * (lo + hi))
                     stop |= ~((lo < nxt) & (nxt < hi))
-            if it == max_iters:
+            if it == _MAX_STEPS:
                 stop[:] = True
             if stop.any():
                 done = rows[stop]
@@ -275,15 +265,14 @@ class _Roots(NamedTuple):
     lost: np.ndarray  # (k, n) log2 running sums of the distortions at e
 
 
-def _solve_orders(inst: Instance, a: np.ndarray, cfg: SolverConfig | None) -> _Roots:
+def _solve_orders(inst: Instance, a: np.ndarray) -> _Roots:
     """The root find on every row of delay weights ``a`` at once, with each
     row's energies rescaled to spend the budget."""
-    cfg = cfg or SolverConfig()
     if inst.energy <= 0:
         raise ValueError("the continuous solver needs a positive energy budget")
     bits = np.asarray(inst.bits)
     budget = inst.energy
-    lam, raw, t, spent, iters = _dual_solve(bits, a, budget, cfg.max_iters)
+    lam, raw, t, spent, iters = _dual_solve(bits, a, budget)
     with np.errstate(invalid="ignore"):  # nan where t or the sum overflowed
         e = raw * (budget / spent)[:, None]
         lost = np.logaddexp2.accumulate(bits - shannon_bits(e, t), axis=1)
@@ -328,19 +317,18 @@ def _report(inst: Instance, order: Order, roots: _Roots, i: int) -> SolveReport:
     )
 
 
-def solve_fixed_order(inst: Instance, order: Order,
-                      cfg: SolverConfig | None = None) -> SolveReport:
+def solve_fixed_order(inst: Instance, order: Order) -> SolveReport:
     """Solve the continuous problem for one fixed order.
 
     Returns the closed forms at the last multiplier, energies scaled to spend
     the budget.  ``duality_gap`` is (P - g) / P: their cost P less the dual
     bound g at that multiplier, relative to P, or +inf where it cannot be
     formed.  ``converged`` says the gap is at most ``GAP_TOL`` in size (one
-    far below zero is rounding, not a bound); after ``cfg.max_iters`` steps
+    far below zero is rounding, not a bound); after ``_MAX_STEPS`` steps
     without that it is False, never raised.  Raises :class:`DomainError`,
     naming the packet, once the running sum of the optimum's distortions
     overflows float64.
     """
     if order.n != inst.n:
         raise ValueError("order size does not match instance")
-    return _report(inst, order, _solve_orders(inst, delay_coefficients(order)[None], cfg), 0)
+    return _report(inst, order, _solve_orders(inst, delay_coefficients(order)[None]), 0)

@@ -15,6 +15,7 @@ earlier-ordered packet, plus its own transmission).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,18 +68,37 @@ class Instance:
         return {"bits": list(self.bits), "energy": self.energy}
 
 
-def instance_from_doc(doc: dict) -> tuple[Instance, dict]:
-    """Parse an instance document.
+def _number(x) -> bool:  # not a bool, and an int that a float can hold
+    return type(x) is float or type(x) is int and abs(x) <= sys.float_info.max
 
-    Returns the :class:`Instance` plus a dict of the extra keys the document
-    may carry for the discrete model (``slot_len``, ``quantum``) and solver
-    overrides (``solver``).
+
+# The fields an instance document may hold, what each must be, and its test.
+_DOC_FIELDS = {
+    "bits": ("a list of numbers", lambda v: type(v) is list and all(map(_number, v))),
+    "energy": ("a number", _number),
+    "slot_len": ("a number", _number),
+    "quantum": ("a number", _number),
+}
+
+
+def instance_from_doc(doc: dict) -> tuple[Instance, dict]:
+    """Parse an instance document: ``bits`` and ``energy``, plus the
+    discrete model's optional ``slot_len`` and ``quantum``.
+
+    Returns the :class:`Instance` plus a dict of the discrete fields the
+    document carries.  Raises ``ValueError`` naming the first field that is
+    not one of these four or is not of its type.
     """
+    for key, value in doc.items():
+        if key not in _DOC_FIELDS:
+            raise ValueError(f"config field {key!r} is not one of {', '.join(_DOC_FIELDS)}")
+        want, ok = _DOC_FIELDS[key]
+        if not ok(value):
+            raise ValueError(f"config field {key!r} must be {want}, got {value!r}")
     if "bits" not in doc or "energy" not in doc:
         raise ValueError("instance document needs 'bits' and 'energy'")
     inst = Instance(tuple(doc["bits"]), doc["energy"])
-    extras = {k: doc[k] for k in ("slot_len", "quantum", "solver") if k in doc}
-    return inst, extras
+    return inst, {k: doc[k] for k in ("slot_len", "quantum") if k in doc}
 
 
 @dataclass(frozen=True)

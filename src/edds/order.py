@@ -40,21 +40,19 @@ from itertools import chain, islice, permutations
 import numpy as np
 
 from .model import Instance, Order, SizeError
-from .csolve import SolveReport, SolverConfig, _report, _solve_orders, solve_fixed_order
+from .csolve import SolveReport, _report, _solve_orders, solve_fixed_order
 
 N_MAX = 8  # 8! = 40320 orders, solved in blocks of _BLOCK rows, is the ceiling.
 _BLOCK = 5040  # 7!: orders per batched root find, which bounds its memory
 _SCREEN_RTOL = 1e-9  # screened costs this close to the least get a full report
 
 
-def brute_force_order(
-    inst: Instance, cfg: SolverConfig | None = None
-) -> tuple[Order, SolveReport]:
+def brute_force_order(inst: Instance) -> tuple[Order, SolveReport]:
     """Solve every permutation and keep the cheapest.
 
     The orders go, one row of delay weights each, through one batched root
     find per block of at most 5040: a row's answer is bit for bit what
-    ``solve_fixed_order`` returns for its order, truncated ``max_iters``
+    ``solve_fixed_order`` returns for its order, a truncated root find
     included.  Each row is screened by P = sum D_i + sum a_i t_i, and only
     the rows within a relative 1e-9 of the least P so far, plus every row
     whose distortions overflow, become reports, without a re-solve, in
@@ -71,17 +69,17 @@ def brute_force_order(
     best, floor = None, math.inf
     for _ in range(0, math.factorial(n), _BLOCK):
         block = np.fromiter(chain.from_iterable(islice(perms, _BLOCK)), float).reshape(-1, n)
-        best, floor = _search_block(inst, block, cfg, best, floor)
+        best, floor = _search_block(inst, block, best, floor)
     assert best is not None
     return best
 
 
-def _search_block(inst, block, cfg, best, floor):
+def _search_block(inst, block, best, floor):
     """Solve one block of orders, rows of positions, and return the cheapest
     (order, report) so far with the least screened cost so far.  The block's
     arrays are freed on return, before the next block is solved."""
     a = inst.n - block + 1.0  # delay_coefficients, row by row
-    roots = _solve_orders(inst, a, cfg)
+    roots = _solve_orders(inst, a)
     ok = roots.lost[:, -1] < np.finfo(float).maxexp  # the whole distortion sum
     with np.errstate(over="ignore", invalid="ignore"):
         screen = np.where(ok, np.exp2(roots.lost[:, -1]) + (a * roots.t).sum(axis=1), math.inf)
@@ -133,9 +131,7 @@ class AgreementStats:
         return "\n".join(lines) + "\n"
 
 
-def spf_agreement_experiment(
-    count: int, rng_seed: int, n: int, cfg: SolverConfig | None = None
-) -> AgreementStats:
+def spf_agreement_experiment(count: int, rng_seed: int, n: int) -> AgreementStats:
     """Measure how often SPF ties the brute-force optimum on random instances.
 
     Instances are drawn with B_i uniform on [1, 25] bits and the budget
@@ -155,8 +151,8 @@ def spf_agreement_experiment(
         total_bits = float(bits.sum())
         energy = float(rng.uniform(0.5 * total_bits, 4.0 * total_bits))
         inst = Instance(tuple(bits), energy)
-        spf_cost = solve_fixed_order(inst, spf_order(inst), cfg).cost.total
-        _, opt = brute_force_order(inst, cfg)
+        spf_cost = solve_fixed_order(inst, spf_order(inst)).cost.total
+        _, opt = brute_force_order(inst)
         gap = spf_cost - opt.cost.total
         if gap <= 1e-6:
             agreements += 1

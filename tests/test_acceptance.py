@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from edds.csolve import SolverConfig, gradient, solve_fixed_order
+from edds.csolve import gradient, solve_fixed_order
 from edds.discrete import (
     DiscreteAllocation,
     DiscreteParams,
@@ -131,7 +131,7 @@ def test_c05_energy_tightness():
         bits = rng.uniform(1.0, 25.0, n)
         energy = float(rng.uniform(0.3, 3.0) * bits.sum())
         inst = Instance(tuple(bits), energy)
-        report = solve_fixed_order(inst, spf_order(inst), SolverConfig())
+        report = solve_fixed_order(inst, spf_order(inst))
         non_converged += not report.converged
         worst = max(worst, report.energy_slack / energy)
     ok = non_converged == 0 and worst <= TOL_TIGHT

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from edds import cli
+from edds import cli, csolve
 from edds.cli import main
 from edds.model import Instance, allocation_from_doc, instance_from_doc
 from edds.discrete import DiscreteAllocation, discrete_allocation_from_doc
@@ -100,12 +100,20 @@ def test_overflowing_distortion_exits_1_with_one_line(capsys):
     assert err.startswith("error: packet 1") and err.count("\n") == 1
 
 
-def test_solver_override_from_config_and_exit_2(capsys, tmp_path):
+def _one_error_naming(err, field):
+    return err.count("\n") == 1 and err.startswith(f"error: config field {field!r} is not one of")
+
+
+def test_solver_override_from_config_and_exit_2(capsys, tmp_path, monkeypatch):
+    # The step cap is a constant, not a config field; truncating it still
+    # reaches exit 2 with the JSON printed.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"max_iters": 1}}))
-    code, out, err = run_cli(
-        capsys, "solve", "--bits", "15,20", "--energy", "50", "--config", str(cfg)
-    )
+    argv = ("solve", "--bits", "15,20", "--energy", "50")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and out == "" and _one_error_naming(err, "solver")
+    monkeypatch.setattr(csolve, "_MAX_STEPS", 1)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     doc = json.loads(out)
     assert doc["converged"] is False
@@ -114,10 +122,10 @@ def test_solver_override_from_config_and_exit_2(capsys, tmp_path):
 def test_unknown_solver_override_rejected(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"step_size": 2.0}}))
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "solve", "--bits", "5", "--energy", "2", "--config", str(cfg)
     )
-    assert code == 1 and "step_size" in err
+    assert code == 1 and out == "" and _one_error_naming(err, "solver")
 
 
 @pytest.mark.parametrize(
@@ -125,22 +133,23 @@ def test_unknown_solver_override_rejected(capsys, tmp_path):
 )
 def test_removed_line_search_knobs_rejected(capsys, tmp_path, knob):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"solver": {knob: 0.5}}))
+    cfg.write_text(json.dumps({knob: 0.5}))
     code, out, err = run_cli(
         capsys, "solve", "--bits", "5", "--energy", "2", "--config", str(cfg)
     )
-    assert code == 1 and out == "" and knob in err
+    assert code == 1 and out == "" and _one_error_naming(err, knob)
 
 
 @pytest.mark.parametrize("value", [1.5, "5", 0])
 def test_non_integer_max_iters_exits_1(capsys, tmp_path, value):
+    # No step cap is accepted, nested or at the top level.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"solver": {"max_iters": value}}))
-    code, out, err = run_cli(
-        capsys, "solve", "--bits", "5", "--energy", "2", "--config", str(cfg)
-    )
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: max_iters")
+    for doc, field in (({"solver": {"max_iters": value}}, "solver"), ({"max_iters": value}, "max_iters")):
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "solve", "--bits", "5", "--energy", "2", "--config", str(cfg)
+        )
+        assert code == 1 and out == "" and _one_error_naming(err, field)
 
 
 @pytest.mark.parametrize("bits, energy", [("30,30,30", "1e-3"), ("60,80,100", "50")])
@@ -154,29 +163,38 @@ def test_huge_multiplier_answers_are_certified(capsys, bits, energy):
     assert abs(doc["duality_gap"]) <= 1e-12
 
 
-def test_exit_2_says_why_on_stderr(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"solver": {"max_iters": 1}}))
-    argv = ("solve", "--bits", "15,20", "--energy", "50")
-    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+def test_exit_2_says_why_on_stderr(capsys, monkeypatch):
+    monkeypatch.setattr(csolve, "_MAX_STEPS", 1)
+    code, out, err = run_cli(capsys, "solve", "--bits", "15,20", "--energy", "50")
     assert code == 2
     assert json.loads(out)["duality_gap"] > 1e-12
     assert err.count("\n") == 1 and err.startswith("warning: not converged after 1 ")
     assert "relative duality gap" in err and "1e-12" in err
     code, out, err = run_cli(
-        capsys, "sweep", "--fix", "B1=15", "--vary", "B2=18:22:2", "--energy", "50",
-        "--config", str(cfg),
+        capsys, "sweep", "--fix", "B1=15", "--vary", "B2=18:22:2", "--energy", "50"
     )
     assert code == 2
     assert len(out.splitlines()) == 4  # the CSV is written all the same
     assert err.count("\n") == 1 and err.startswith("warning: 3 of 3 points did not converge")
     code, out, err = run_cli(
         capsys, "sweep", "--bits", "6,9", "--energy", "12", "--surface",
-        "--grid-e", "0:12:6", "--grid-t", "1:2:1", "--config", str(cfg),
+        "--grid-e", "0:12:6", "--grid-t", "1:2:1",
     )
     assert code == 2
     # the last column leaves packet 2 no energy and no tail solve
     assert err.count("\n") == 1 and err.startswith("warning: 2 of 3 columns did not converge")
+
+
+def test_sweep_takes_energy_from_config(capsys, tmp_path):
+    # fix/vary sweeps read the config as every other command does; this
+    # once exited 1 with "sweep needs --energy"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"energy": 50}))
+    argv = ("sweep", "--fix", "B1=15", "--vary", "B2=18:20:2")
+    from_cfg = run_cli(capsys, *argv, "--config", str(cfg))
+    from_flag = run_cli(capsys, *argv, "--energy", "50")
+    assert from_cfg == from_flag
+    assert from_cfg[0] == 0 and from_cfg[1].startswith("B2,bhat1,bhat2,total\n18.0,")
 
 
 def test_config_supplies_instance_and_flags_win(capsys, tmp_path):
@@ -596,4 +614,6 @@ def test_malformed_config_value_exits_1_with_one_line(capsys, tmp_path, command,
     code, out, err = run_cli(capsys, command, "--config", str(cfg))
     assert code == 1
     assert out == ""
-    assert err.count("\n") == 1 and err.startswith(f"error: config field {field!r} must be")
+    # a known field of the wrong type, or a field the config does not hold
+    want = "is not one of" if field == "solver" else "must be"
+    assert err.count("\n") == 1 and err.startswith(f"error: config field {field!r} {want}")

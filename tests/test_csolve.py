@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edds import csolve
 from edds.csolve import (
     GAP_TOL,
     SolveReport,
-    SolverConfig,
     _packets,
     gradient,
     hessian_block,
@@ -130,7 +130,7 @@ def test_gradient_time_component_vanishes_at_optimum():
 
 def test_hessian_block_positive_definite():
     inst = Instance((4.0,), 10.0)
-    h = hessian_block(inst, 1, 1.0, 1.0, 1.0)
+    h = hessian_block(inst, 1, 1.0, 1.0)
     assert np.linalg.det(h) > 0
     assert np.trace(h) > 0
 
@@ -150,7 +150,7 @@ def test_hessian_block_matches_second_differences():
         u(e0 + h, t0 + h) - u(e0 + h, t0 - h) - u(e0 - h, t0 + h) + u(e0 - h, t0 - h)
     ) / (4 * h**2)
     fd = np.array([[dee, det_], [det_, dtt]])
-    hb = hessian_block(inst, 1, e0, t0, a)
+    hb = hessian_block(inst, 1, e0, t0)
     assert np.abs(hb - fd).max() / np.abs(fd).max() <= 1e-4
     assert np.linalg.det(hb) > 0 and np.trace(hb) > 0
 
@@ -163,7 +163,7 @@ def test_hessian_determinant_closed_form():
     for packet, e, t in [(1, 1.0, 1.0), (2, 10.0, 0.5), (3, 3.0, 2.0)]:
         b = inst.bits[packet - 1]
         p = 2.0 ** (b - shannon_bits(e, t))
-        det = np.linalg.det(hessian_block(inst, packet, e, t, 1.0))
+        det = np.linalg.det(hessian_block(inst, packet, e, t))
         closed = p**2 * t / (t + e) ** 2 * math.log((t + e) / t) ** 2
         assert det == pytest.approx(closed, rel=1e-3)
         ratios.append(det / (p**2 * t / (t + e) ** 2 * math.log2((t + e) / t) ** 2))
@@ -178,7 +178,7 @@ def test_hessian_block_is_exact():
     inst = Instance((4.0, 12.0, 7.0), 100.0)
     for packet, e, t in [(1, 1.0, 1.0), (2, 10.0, 0.5), (3, 3.0, 2.0), (1, 0.0, 1.0)]:
         p = 2.0 ** (inst.bits[packet - 1] - shannon_bits(e, t))
-        h = hessian_block(inst, packet, e, t, 1.0)
+        h = hessian_block(inst, packet, e, t)
         det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
         closed = p**2 * t / (t + e) ** 2 * math.log1p(e / t) ** 2
         assert det == pytest.approx(closed, rel=1e-12, abs=0.0)
@@ -187,19 +187,19 @@ def test_hessian_block_is_exact():
 
 def test_hessian_determinant_vanishes_with_energy():
     inst = Instance((4.0,), 10.0)
-    det_small = np.linalg.det(hessian_block(inst, 1, 1e-6, 1.0, 1.0))
-    det_unit = np.linalg.det(hessian_block(inst, 1, 1.0, 1.0, 1.0))
+    det_small = np.linalg.det(hessian_block(inst, 1, 1e-6, 1.0))
+    det_unit = np.linalg.det(hessian_block(inst, 1, 1.0, 1.0))
     assert 0 <= det_small < 1e-6 < det_unit
 
 
 def test_hessian_block_domain_errors():
     inst = Instance((4.0,), 10.0)
     with pytest.raises(DomainError):
-        hessian_block(inst, 1, -0.1, 1.0, 1.0)
+        hessian_block(inst, 1, -0.1, 1.0)
     with pytest.raises(DomainError):
-        hessian_block(inst, 1, 1.0, 1e-9, 1.0)
+        hessian_block(inst, 1, 1.0, 1e-9)
     with pytest.raises(ValueError):
-        hessian_block(inst, 2, 1.0, 1.0, 1.0)
+        hessian_block(inst, 2, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +244,6 @@ def test_project_budget_survives_huge_entries():
 
 # ---------------------------------------------------------------------------
 # solve_fixed_order
-
-
-def test_solver_config_validation():
-    for bad in (0, -3, 1.5, "5"):
-        with pytest.raises(ValueError, match="max_iters"):
-            SolverConfig(max_iters=bad)
-    # the duality gap and model.T_MIN replaced the residual tolerance and t_min
-    for knob in ("grad_tol", "t_min"):
-        with pytest.raises(TypeError):
-            SolverConfig(**{knob: 1e-8})
 
 
 def test_reference_instance_fifteen_twenty():
@@ -468,37 +458,41 @@ def test_overflowing_distortion_raises_domain_error():
         solve_fixed_order(Instance((1023.9, 1023.9), 1e-3), Order((1, 2)))
 
 
-def test_non_convergence_is_reported_not_raised():
+def test_non_convergence_is_reported_not_raised(monkeypatch):
+    monkeypatch.setattr(csolve, "_MAX_STEPS", 1)
     inst = Instance((15.0, 20.0), 50.0)
-    report = solve_fixed_order(inst, Order((1, 2)), SolverConfig(max_iters=1))
+    report = solve_fixed_order(inst, Order((1, 2)))
     assert not report.converged
     assert report.duality_gap > GAP_TOL
     assert isinstance(report, SolveReport)
 
 
-def test_truncated_solves_are_not_certified():
+def test_truncated_solves_are_not_certified(monkeypatch):
     # The gap is not vacuous: cut the root find short and it says so, while
     # the same point's energies still spend the budget.  Six steps leave a
     # gap near 3e-7, so a looser tolerance would pass this point.
     inst = Instance((15.0, 20.0), 50.0)
     for steps in range(1, 7):
-        report = solve_fixed_order(inst, Order((1, 2)), SolverConfig(max_iters=steps))
+        monkeypatch.setattr(csolve, "_MAX_STEPS", steps)
+        report = solve_fixed_order(inst, Order((1, 2)))
         assert report.iterations == steps
         assert not report.converged and report.duality_gap > GAP_TOL
         assert abs(report.energy_slack) <= 1e-9 * inst.energy
+    monkeypatch.undo()
     full = solve_fixed_order(inst, Order((1, 2)))
     assert full.converged and abs(full.duality_gap) <= GAP_TOL
     assert kkt_residual(inst, full.alloc) <= 1e-6
 
 
-def test_duality_gap_is_a_bound_on_the_excess_cost():
+def test_duality_gap_is_a_bound_on_the_excess_cost(monkeypatch):
     # P - g bounds P - P*: the truncated point's excess over the optimum
     # never exceeds its reported gap, to rounding
     inst = Instance((12.0, 20.0, 5.0), 30.0)
     order = Order((3, 1, 2))
     best = solve_fixed_order(inst, order).cost.total
     for steps in range(1, 7):
-        report = solve_fixed_order(inst, order, SolverConfig(max_iters=steps))
+        monkeypatch.setattr(csolve, "_MAX_STEPS", steps)
+        report = solve_fixed_order(inst, order)
         excess = (report.cost.total - best) / report.cost.total
         assert -1e-14 <= excess <= report.duality_gap + 1e-14
 
@@ -526,13 +520,14 @@ def test_duality_gap_certifies_spf_solves(bits, scale):
     assert -1e-14 <= report.duality_gap <= GAP_TOL
 
 
-def test_truncated_gap_is_inf_where_it_cannot_be_formed():
+def test_truncated_gap_is_inf_where_it_cannot_be_formed(monkeypatch):
     # One to three steps leave the raw energies far below the budget: the
     # distortion at the rescaled energies underflows to 0 while expm1 of the
     # change overflows, and 0 * inf read "duality_gap": NaN.
     for bits, energy, steps in [((40.0,), 1e5, (1,)), ((900.0,), 1e4, (1, 2, 3))]:
         for m in steps:
-            report = solve_fixed_order(Instance(bits, energy), Order((1,)), SolverConfig(max_iters=m))
+            monkeypatch.setattr(csolve, "_MAX_STEPS", m)
+            report = solve_fixed_order(Instance(bits, energy), Order((1,)))
             assert report.duality_gap == math.inf
             assert not report.converged and report.iterations == m
 

@@ -260,6 +260,23 @@ def test_greedy_exceeds_twice_optimal_off_the_sweep():
     assert greedy / better.total == pytest.approx(2.057057, rel=1e-6)
 
 
+def test_greedy_trace_total_drifts_when_huge_packets_shrink():
+    # Guarantee 2 holds for the running sum T - p + d, not for the cost:
+    # with packets near 2**59 the idle total is about 1.3e18, where one ulp
+    # is 256, and the rounding of each early step stays in the total after
+    # those packets' costs fall.  The returned cost is re-priced exactly.
+    bits = (38.14, 10, 42.934, 51.465, 15, 14.34, 58.761, 30, 40.769, 17.414, 9, 17.664, 59.537)
+    inst = Instance(bits, 549.0)
+    params = DiscreteParams.for_instance(inst, 0.5, 1.0)
+    for spend_all in (False, True):
+        alloc, cost, trace = greedy_allocate(inst, params, spend_all)
+        assert len(trace) == 549
+        assert cost.total == discrete_cost(inst, params, alloc).total
+        assert cost.total == pytest.approx(3069.07308434, rel=1e-10)
+        assert trace[-1].total_cost == pytest.approx(2885.06565266, rel=1e-10)
+        assert trace[-1].total_cost / cost.total == pytest.approx(0.94004, rel=1e-5)
+
+
 def test_trace_csv_shape():
     inst = Instance((2.0,), 2.0)
     params = DiscreteParams(1.0, 1.0, 2, 2)

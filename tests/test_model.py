@@ -231,6 +231,8 @@ def test_instance_doc_roundtrip():
     assert extras == {"slot_len": 1.0, "quantum": 0.5}
     with pytest.raises(ValueError):
         instance_from_doc({"bits": [1.0]})
+    with pytest.raises(ValueError, match="'solver' is not one of"):
+        instance_from_doc({"bits": [1.0], "energy": 1.0, "solver": {}})
 
 
 def test_allocation_doc_roundtrip():

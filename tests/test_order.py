@@ -13,7 +13,8 @@ from edds.order import (
     spf_agreement_experiment,
     spf_order,
 )
-from edds.csolve import SolverConfig, solve_fixed_order
+from edds import csolve
+from edds.csolve import solve_fixed_order
 
 
 def test_spf_order_examples():
@@ -66,44 +67,46 @@ def test_brute_force_size_cap():
         brute_force_order(Instance((1.0,) * 9, 20.0))
 
 
-def _loop_brute_force(inst, cfg=None):
+def _loop_brute_force(inst):
     """The search as one solve_fixed_order per order, kept as the reference."""
     best = None
     for perm in permutations(range(1, inst.n + 1)):
         order = Order(perm)
-        report = solve_fixed_order(inst, order, cfg)
+        report = solve_fixed_order(inst, order)
         if best is None or report.cost.total < best[1].cost.total:
             best = (order, report)
     return best
 
 
-def _outcome(search, inst, cfg):
+def _outcome(search, inst):
     try:
-        return repr(search(inst, cfg))
+        return repr(search(inst))
     except DomainError as exc:
         return f"DomainError: {exc}"
 
 
-def test_batched_brute_force_matches_the_loop():
+def test_batched_brute_force_matches_the_loop(monkeypatch):
     # The batched root find returns the loop's answer byte for byte: equal
     # sizes (ties), budgets from 1e-4 to 1e6 x the total bits, truncated
     # solves, an overflowing optimum, and one n = 7 search in a single block.
     rng = np.random.default_rng(67)
+    full = csolve._MAX_STEPS
     cases = []
     for k in range(1000):
         n = int(rng.choice(5, p=[0.3, 0.35, 0.25, 0.08, 0.02])) + 1
         bits = rng.integers(1, 6, n) if k % 3 == 0 else rng.uniform(0.5, 40.0, n)
         energy = 10.0 ** rng.uniform(-4.0, 6.0) * bits.sum()
-        cfg = SolverConfig(max_iters=int(rng.integers(1, 7))) if k % 4 == 1 else None
-        cases.append((Instance(tuple(float(b) for b in bits), float(energy)), cfg))
+        steps = int(rng.integers(1, 7)) if k % 4 == 1 else full
+        cases.append((Instance(tuple(float(b) for b in bits), float(energy)), steps))
     assert sum(len(set(inst.bits)) < inst.n for inst, _ in cases) >= 100
     assert {inst.n for inst, _ in cases} == {1, 2, 3, 4, 5}
-    overflow = (Instance((1023.9, 1023.9), 1e-3), None)
+    overflow = Instance((1023.9, 1023.9), 1e-3)
     bits = rng.uniform(1.0, 25.0, 7)
-    cases += [overflow, (Instance(tuple(float(b) for b in bits), 2.0 * float(bits.sum())), None)]
-    for inst, cfg in cases:
-        assert _outcome(brute_force_order, inst, cfg) == _outcome(_loop_brute_force, inst, cfg)
-    assert _outcome(brute_force_order, *overflow).startswith("DomainError: packet 2")
+    cases += [(overflow, full), (Instance(tuple(float(b) for b in bits), 2.0 * float(bits.sum())), full)]
+    for inst, steps in cases:
+        monkeypatch.setattr(csolve, "_MAX_STEPS", steps)
+        assert _outcome(brute_force_order, inst) == _outcome(_loop_brute_force, inst)
+    assert _outcome(brute_force_order, overflow).startswith("DomainError: packet 2")
 
 
 def test_spf_is_optimal_at_the_brute_force_cap():

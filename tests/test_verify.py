@@ -455,5 +455,5 @@ def test_hessian_block_matches_the_scalar_formula_bit_for_bit():
         inst = Instance(tuple(rng.uniform(0.1, 60.0, n).tolist()), 10.0)
         packet = int(rng.integers(1, n + 1))
         e, t = float(10.0 ** rng.uniform(-4, 3)), float(10.0 ** rng.uniform(-6, 2))
-        got = hessian_block(inst, packet, e, t, 1.0)
+        got = hessian_block(inst, packet, e, t)
         assert repr(got.tolist()) == repr(_scalar_hessian_block(inst, packet, e, t).tolist())

@@ -7,8 +7,8 @@ one process.  Every case runs once per checkout as a warm-up, then
 checkout to run rotates each pass), so that drift in the host's speed falls
 on all of them alike.  Each label keeps every pass's wall time and their
 least, next to the work counts that the public outputs give: candidate rows
-the oracle scores, probe trials, greedy steps, multiplier steps and orders
-solved.  Time a parent against a change with
+the oracle scores, probe trials, subsets a set probe evaluates, greedy
+steps, multiplier steps and orders solved.  Time a parent against a change with
 
     python bench/run.py --src ../parent --label parent --src . --label change \\
         --out BENCH_14.json
@@ -94,6 +94,27 @@ def cases(edds) -> dict:
         lambda: [greedy_allocate(i, p) for i, p in sweep],
         lambda res: {"instances": len(res), "steps": sum(len(r[2]) for r in res)},
     )
+    # Packet 1's full discrete cost (B = 2.5, l = 0.5) over 3 slots x 4 levels
+    # cut to 10 cells, the shape of perfbench's cells10 probes, and over
+    # 4 slots x 4 levels = 16 cells, both exhaustive.  Work: rows scored and
+    # subsets f was evaluated on.
+    def cells(count, slots):
+        inst = Instance((2.5,), 4.0)
+        sf = edds.verify.di_as_set_function(inst, DiscreteParams(0.5, 1.0, 4, slots), 1,
+                                            {j: 1 for j in range(1, slots + 1)}, max_level=4)
+        return sf.ground[:count], sf.fn
+
+    for name, check, (ground, fn) in (
+        ("supermodular-cells10", edds.verify.check_supermodular, cells(10, 3)),
+        ("monotone-cells10", edds.verify.check_monotone, cells(10, 3)),
+        ("supermodular-16-exhaustive", edds.verify.check_supermodular, cells(16, 4)),
+    ):
+        def run(check=check, ground=ground, fn=fn):
+            calls = []
+            counted = edds.verify.SetFunction(ground, lambda s: calls.append(None) or fn(s))
+            return check(counted, exhaustive=True), len(calls)
+
+        out[name] = (run, lambda res: {"trials": res[0].trials, "subsets": res[1]})
     out["solve-n4"] = (
         lambda: edds.csolve.solve_fixed_order(solve_inst, Order.identity(4)),
         lambda rep: {"multiplier_steps": rep.iterations},

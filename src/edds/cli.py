@@ -7,7 +7,7 @@ Subcommands: ``solve`` (continuous solver, optional order search), ``sweep``
 
 Exit codes: 0 success, 1 usage or invalid input, 2 solver non-convergence
 (with one ``warning:`` line on stderr), 3 greedy/oracle ratio above the
-certified bound.
+certified bound, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .model import DomainError, Instance, Order, T_MIN, instance_from_doc, shannon_bits
@@ -396,7 +397,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone: end quietly, as a process SIGPIPE killed would,
+        # and keep the interpreter's flush at exit off the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (_UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -31,6 +31,8 @@ _GROUND_MAX = 20
 # Trials the convexity probe evaluates at once; its arrays never grow past
 # this many rows, however many trials run.
 _TRIAL_BLOCK = 256
+# (set, cells) rows the exhaustive set probes score at once, for the same reason.
+_SET_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,8 @@ class SetFunction:
     """A set function bundled with its finite ground set.
 
     ``fn`` maps frozensets of ground elements to reals; calling the wrapper
-    with any iterable of elements delegates to it.
+    with any iterable of elements delegates to it.  The set probes take its
+    values as float64, so an int-valued ``fn`` reports a float margin.
     """
 
     ground: tuple
@@ -146,10 +149,18 @@ def _subset_of(ground: tuple, mask: int) -> frozenset:
 
 def _probe_sets(name: str, tol: float, k: int, slack: Callable[..., float], f: SetFunction,
                 trials: int, seed: int, exhaustive: bool | None) -> PropertyReport:
-    """Record ``slack(fv, S, *cells)`` over sets S and k cells outside S.
+    """Record ``slack(v, S, *cells)`` over sets S and k cells outside S.
 
-    The sampled mode draws a mask with at least k cells outside it, then k
-    distinct cells of those; ``fv`` evaluates each subset once.
+    Sets and cells are integer masks over the ground set's positions, and
+    ``v`` maps masks to f's values as float64.  The exhaustive mode
+    evaluates f once per subset into a table, then scores the rows in the
+    order of a per-row loop (S ascending, then ``combinations`` of the
+    cells outside S) in blocks of at most ``_SET_BLOCK`` rows, one NumPy
+    pass each.  Each slack is the loop's, operand for operand, so the
+    report is the loop's, and memory beyond the table stays flat up to
+    ``_GROUND_MAX`` cells.  The sampled mode draws a mask with at least k
+    cells outside it, then k distinct cells of those, and evaluates each
+    subset once.  Only the worst witness is turned back into a set.
     """
     _check_trials(trials)
     ground = tuple(f.ground)
@@ -158,24 +169,34 @@ def _probe_sets(name: str, tol: float, k: int, slack: Callable[..., float], f: S
     if exhaustive is None:
         exhaustive = m <= _EXHAUSTIVE_MAX
     probe = _Probe(tol)
-    fv = cache(f.fn)
     if exhaustive:
-        for mask in range(1 << m):
-            s = _subset_of(ground, mask)
-            rest = [g for b, g in enumerate(ground) if not mask >> b & 1]
-            for cells in combinations(rest, k):
-                probe.record(slack(fv, s, *cells), (s, *cells))
+        table = np.fromiter((f.fn(_subset_of(ground, mask)) for mask in range(1 << m)),
+                            float, 1 << m)
+        combos = np.array(list(combinations(range(m), k)), dtype=np.int64).reshape(-1, k)
+        cell_masks = 1 << combos
+        unions = cell_masks.sum(1)
+        step = _SET_BLOCK // max(len(combos), 1)
+        for lo in range(0, 1 << m, step):
+            masks = np.arange(lo, min(lo + step, 1 << m))
+            rows, c = np.nonzero((masks[:, None] & unions) == 0)
+            s = masks[rows]
+            with np.errstate(over="ignore", invalid="ignore"):
+                slacks = slack(table.take, s, *cell_masks[c].T)
+            probe.record_all(slacks, lambda q: (int(s[q]), *combos[c[q]].tolist()))
     else:
+        v = cache(lambda mask: float(f.fn(_subset_of(ground, mask))))
         rng = np.random.default_rng(seed)
         for _ in range(trials):
             while True:
                 mask = int(rng.integers(0, 1 << m))
-                rest = [g for b, g in enumerate(ground) if not mask >> b & 1]
+                rest = [b for b in range(m) if not mask >> b & 1]
                 if len(rest) >= k:
                     break
             cells = [rest[c] for c in rng.choice(len(rest), k, replace=False)]
-            s = _subset_of(ground, mask)
-            probe.record(slack(fv, s, *cells), (s, *cells))
+            probe.record(slack(v, mask, *(1 << b for b in cells)), (mask, *cells))
+    if probe.witness is not None:
+        mask, *cells = probe.witness
+        probe.witness = (_subset_of(ground, mask), *(ground[b] for b in cells))
     return probe.report(name)
 
 
@@ -185,12 +206,13 @@ def check_supermodular(
     """Probe f(S+i) + f(S+j) <= f(S) + f(S+i+j) over triples (S, i, j).
 
     Exhausts all triples when the ground set has at most 10 cells (or when
-    forced); otherwise samples `trials` of them with the seeded generator.
-    Raises ``ValueError`` for ``trials < 0``.
+    forced), scoring them in bulk from one evaluation of f per subset;
+    otherwise samples `trials` of them with the seeded generator.  Raises
+    ``ValueError`` for ``trials < 0``.
     """
     return _probe_sets(
         "supermodular", SUPERMODULAR_TOL, 2,
-        lambda fv, s, i, j: fv(s) + fv(s | {i, j}) - fv(s | {i}) - fv(s | {j}),
+        lambda v, s, i, j: v(s) + v(s | i | j) - v(s | i) - v(s | j),
         f, trials, seed, exhaustive,
     )
 
@@ -204,7 +226,7 @@ def check_monotone(
     evaluates each subset once; raises ``ValueError`` for ``trials < 0``.
     """
     return _probe_sets(
-        "monotone", MONOTONE_TOL, 1, lambda fv, s, x: fv(s) - fv(s | {x}),
+        "monotone", MONOTONE_TOL, 1, lambda v, s, x: v(s) - v(s | x),
         f, trials, seed, exhaustive,
     )
 

@@ -2,7 +2,8 @@
 
 Every test drives ``edds.cli.main`` in-process, captures stdout/stderr, and
 asserts on the exit code plus the parsed JSON/CSV payloads.  Exit codes:
-0 success, 1 bad input, 2 non-convergence, 3 certificate breach.
+0 success, 1 bad input, 2 non-convergence, 3 certificate breach, 141 a
+closed stdout.
 """
 
 import json
@@ -503,6 +504,24 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
         codes.append(in_process[0])
     assert codes == [0, 1, 0, 0]
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("bits,energy", [("2", "2"), ("5,9,14", "3000")])
+def test_closed_stdout_exits_141_quietly(bits, energy):
+    # The read end is closed before the child writes: a short output fails at
+    # main's flush, a long one (a 3000-step trace) in the middle of a write.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "edds.cli", "discrete", "--bits", bits, "--energy", energy,
+             "--slot-len", "1", "--quantum", "1", "--spend-all"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (141, "")
 
 
 def test_docs_round_trip_through_model_constructors(capsys):

@@ -8,7 +8,9 @@ delay term is known to break supermodularity of the full cost.
 
 import math
 import random
+import tracemalloc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -132,16 +134,38 @@ def _cells10(cell_bits, slot_len, slots=None):
     return SetFunction(sf.ground[:10], sf.fn)
 
 
-def _uncached_monotone(f):
-    """Reference exhaustive monotone probe: two calls of f.fn per (S, x)."""
-    probe = verify._Probe(verify.MONOTONE_TOL)
+def _loop_probe(name, f, exhaustive, trials=0, seed=0):
+    """Reference set probe: one (S, cells) row at a time, each value a fresh
+    call of f.fn on a frozenset, recorded in the order the bulk probe scores."""
+    k = 2 if name == "supermodular" else 1
+    probe = verify._Probe(verify.SUPERMODULAR_TOL if k == 2 else verify.MONOTONE_TOL)
     ground = tuple(f.ground)
-    for mask in range(1 << len(ground)):
+    m = len(ground)
+
+    def rows():
+        if exhaustive:
+            for mask in range(1 << m):
+                rest = [g for b, g in enumerate(ground) if not mask >> b & 1]
+                yield from ((mask, cells) for cells in combinations(rest, k))
+            return
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            while True:
+                mask = int(rng.integers(0, 1 << m))
+                rest = [g for b, g in enumerate(ground) if not mask >> b & 1]
+                if len(rest) >= k:
+                    break
+            yield mask, [rest[c] for c in rng.choice(len(rest), k, replace=False)]
+
+    for mask, cells in rows():
         s = verify._subset_of(ground, mask)
-        for b, g in enumerate(ground):
-            if not mask >> b & 1:
-                probe.record(f.fn(s) - f.fn(s | {g}), (s, g))
-    return probe.report("monotone")
+        if k == 2:
+            i, j = cells
+            slack = f.fn(s) + f.fn(s | {i, j}) - f.fn(s | {i}) - f.fn(s | {j})
+        else:
+            slack = f.fn(s) - f.fn(s | set(cells))
+        probe.record(slack, (s, *cells))
+    return probe.report(name)
 
 
 def test_monotone_evaluates_each_subset_once():
@@ -160,7 +184,50 @@ def test_monotone_report_matches_uncached_probe():
         _cells10(1.25, 1.0),
         _cells10(3.75, 0.5, {1: 1, 3: 1}),
     ):
-        assert repr(check_monotone(sf, exhaustive=True)) == repr(_uncached_monotone(sf))
+        assert repr(check_monotone(sf, exhaustive=True)) == repr(_loop_probe("monotone", sf, True))
+
+
+def _random_set_function(rng, m):
+    """Float values per subset of m cells, drawn with ties, nan, +-inf and -0.0."""
+    special = (0.0, -0.0, 1.0, 1.0, 0.1, 0.2, 0.3, math.nan, math.inf, -math.inf, 1e308)
+    values = [rng.choice(special) if rng.random() < 0.4 else rng.uniform(-2.0, 2.0)
+              for _ in range(1 << m)]
+    ground = tuple(f"c{b}" for b in range(m))
+    bit = {g: 1 << b for b, g in enumerate(ground)}
+    return SetFunction(ground, lambda s: values[sum(bit[g] for g in s)])
+
+
+def test_bulk_set_probes_match_the_loop():
+    # Every report, witness and margin included, is the per-row loop's, and
+    # the inf - inf rows warn about nothing.
+    rng = random.Random(16)
+    for case in range(120):
+        m = case % 10
+        sf = _random_set_function(rng, m)
+        seed = rng.randrange(2**31)
+        for name, probe in (("monotone", check_monotone), ("supermodular", check_supermodular)):
+            modes = (True, False) if m >= (2 if name == "supermodular" else 1) else (True,)
+            for exhaustive in modes:
+                want = _loop_probe(name, sf, exhaustive, trials=150, seed=seed)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = probe(sf, trials=150, seed=seed, exhaustive=exhaustive)
+                assert repr(got) == repr(want), (case, name, exhaustive)
+
+
+def test_exhaustive_set_probe_memory_stays_flat():
+    # 16 cells: about 2M rows, scored block by block with the 512 KB value
+    # table; one table of every row would take more than 45 MB.
+    sf = SetFunction(_ground(16), lambda s: float(len(s) ** 2))
+    tracemalloc.start()
+    try:
+        report = check_supermodular(sf, exhaustive=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.trials == sum(math.comb(16, k) * math.comb(16 - k, 2) for k in range(17))
+    assert report.violations == 0
+    assert peak < 8 * 2**20
 
 
 # Sampled reports on a 14-cell cost, recorded before the two probes shared a

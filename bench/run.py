@@ -8,7 +8,9 @@ checkout to run rotates each pass), so that drift in the host's speed falls
 on all of them alike.  Each label keeps every pass's wall time and their
 least, next to the work counts that the public outputs give: candidate rows
 the oracle scores, probe trials, subsets a set probe evaluates, greedy
-steps, multiplier steps and orders solved.  Time a parent against a change with
+steps, orders solved, and for each solve its multiplier steps and the SNR
+Newton steps they make (multiplier steps times that checkout's
+``csolve._SNR_STEPS``).  Time a parent against a change with
 
     python bench/run.py --src ../parent --label parent --src . --label change \\
         --out BENCH_14.json
@@ -61,6 +63,10 @@ def cases(edds) -> dict:
     sweep = list(edds.discrete.certificate_sweep())
     refs = {"ref1": Instance((15.0, 20.0), 50.0), "ref2": Instance((12.0, 20.0), 20.0)}
     solve_inst = Instance((3.0, 8.0, 15.0, 24.0), 30.0)
+    rng = np.random.default_rng(64)
+    wide_bits = rng.uniform(1.0, 25.0, 64)
+    wide_inst = Instance(tuple(wide_bits.tolist()), float(wide_bits.sum()))
+    search_inst = Instance((3.0, 8.0, 15.0), 26.0)  # perfbench searches n = 2 to 4
     brute_inst = Instance(tuple(float(b) for b in range(3, 17, 2)), 40.0)
 
     out = {
@@ -115,14 +121,17 @@ def cases(edds) -> dict:
             return check(counted, exhaustive=True), len(calls)
 
         out[name] = (run, lambda res: {"trials": res[0].trials, "subsets": res[1]})
-    out["solve-n4"] = (
-        lambda: edds.csolve.solve_fixed_order(solve_inst, Order.identity(4)),
-        lambda rep: {"multiplier_steps": rep.iterations},
-    )
-    out["brute-n7"] = (
-        lambda: edds.order.brute_force_order(brute_inst),
-        lambda _: {"orders": math.factorial(brute_inst.n)},
-    )
+    for name, inst in (("solve-n4", solve_inst), ("solve-n64", wide_inst)):
+        out[name] = (
+            lambda inst=inst: edds.csolve.solve_fixed_order(inst, Order.identity(inst.n)),
+            lambda rep: {"multiplier_steps": rep.iterations,
+                         "snr_newton_steps": rep.iterations * edds.csolve._SNR_STEPS},
+        )
+    for name, inst in (("brute-n3", search_inst), ("brute-n7", brute_inst)):
+        out[name] = (
+            lambda inst=inst: edds.order.brute_force_order(inst),
+            lambda _, inst=inst: {"orders": math.factorial(inst.n)},
+        )
     return out
 
 

@@ -50,7 +50,7 @@ _LN2 = math.log(2.0)
 # Above lam = ln(max float) every energised packet's D_i = e**(lam + u_i)
 # overflows, so the root find never looks there.
 _LAM_MAX = math.log(np.finfo(float).max)
-_SNR_STEPS = 5  # four Newton steps reach 1e-14 from the start in _snr
+_SNR_STEPS = 4  # Newton steps in _snr: 3e-14 relative for any ln c
 _ROOT_TOL = 1e-14  # |ln(spent / budget)| at which the root find stops
 GAP_TOL = 1e-12  # relative duality gap that certifies an answer
 _MAX_STEPS = 200_000  # multiplier steps before a root find gives up; 7-13 certify
@@ -164,45 +164,52 @@ def _snr(log_c):
 
     With w = u + expm1(-u) = e**-u (e**u (u - 1) + 1), F(u) = u + ln w - ln c
     is increasing and concave (F'' <= 0 reduces to 1 + u <= e**u), so Newton
-    steps from the lower bound u = log1p(sqrt(2c)) rise monotonically to the
-    root.  Logs keep u > 0 representable down to c = e**-lam_max.  Also
-    returns w / u**2 and du/d ln c = 1 / F'(u), both from the last step.
+    steps u <- u - F(u) w / u, as F'(u) = u / w, rise monotonically from the
+    lower bound u = log1p(sqrt(2c)) to the root.  Where u < 1e-2 the sum in w
+    cancels, so ln w = 2 ln u + ln(w / u**2) takes w / u**2 from its Taylor
+    series.  Logs keep u > 0 representable down to c = e**-lam_max.  Also
+    returns w / u**2 and du/d ln c = 1 / F'(u) = w / u, both from the last step.
     """
     u = np.logaddexp(0.0, 0.5 * (log_c + _LN2))
     for _ in range(_SNR_STEPS):
-        m = np.expm1(-u)
-        w2 = (u + m) / u / u
-        small = u < 1e-2
-        if small.any():  # where the sum cancels, its Taylor series
-            w2 = np.where(small, 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720))), w2)
-        slope = 1.0 - m / u / (u * w2)
-        u = u - (u + 2.0 * np.log(u) + np.log(w2) - log_c) / slope
-    return u, w2, 1.0 / slope
+        w = u + np.expm1(-u)
+        du = w / u
+        log_w = np.log(w)
+        if np.fmin.reduce(u, axis=None) < 1e-2:  # fmin skips nan, as any() would
+            small = u < 1e-2
+            w2 = 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720)))
+            log_w = np.where(small, 2.0 * np.log(u) + np.log(w2), log_w)
+            du = np.where(small, u * w2, du)
+        last = u
+        u = u - (u + log_w - log_c) * du
+    return u, du / last, du
 
 
 def _packets(lam, bits, log_a):
-    """Every packet's KKT energy, time and dE/dlam at multiplier e**lam."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = bits * _LN2 - lam
-        u, w2, du = _snr(log_a - lam)  # du/dlam = -du, as ln c = ln a - lam
-        r = np.expm1(u) / u  # E = (k - u) r stays finite where t overflows
-        e = (k - u) * r
-        de = (du - 1.0) * r - (k - u) * np.exp(u) * w2 * du
-        t = k / u - 1.0
-        edge = t < T_MIN  # also every packet with k <= 0
+    """Every packet's KKT energy, time and dE/dlam at multiplier e**lam, the
+    boundary forms only if some t < t_min.  Runs under its caller's errstate."""
+    k = bits * _LN2 - lam
+    u, w2, du = _snr(log_a - lam)  # du/dlam = -du, as ln c = ln a - lam
+    r = np.expm1(u) / u  # E = (k - u) r stays finite where t overflows
+    e = (k - u) * r
+    de = (du - 1.0) * r - (k - u) * np.exp(u) * w2 * du
+    t = k / u - 1.0
+    if np.fmin.reduce(t, axis=None) < T_MIN:  # also every packet with k <= 0
+        edge = t < T_MIN
         e_min = T_MIN * np.expm1(np.maximum(k, 0.0) / (T_MIN + 1.0))
         de_min = np.where(k > 0.0, -(e_min + T_MIN) / (T_MIN + 1.0), 0.0)
-    # in place: a batch of orders holds no second copy of each array
-    np.copyto(e, e_min, where=edge)
-    np.copyto(t, T_MIN, where=edge)
-    np.copyto(de, de_min, where=edge)
+        # in place: a batch of orders holds no second copy of each array
+        np.copyto(e, e_min, where=edge)
+        np.copyto(t, T_MIN, where=edge)
+        np.copyto(de, de_min, where=edge)
     return e, t, de
 
 
 def _dual_solve(bits, a, budget):
     """Newton on g = ln(sum E(lam) / budget), then on sum E itself, then
     bisection, each kept inside the bracket [lo, hi].  At lo the largest
-    packet alone spends the budget, whether its time is below 1 or not.
+    packet alone spends the budget, whether its time is below 1 or not, and
+    lo is at least one float64 step below hi, where no packet spends.
 
     ``a`` holds one row of delay weights per order, and every row runs this
     root find on its own: its own bracket, its own kind of step, and its own
@@ -214,7 +221,7 @@ def _dual_solve(bits, a, budget):
     steps taken, at most ``_MAX_STEPS``.
     """
     hi0 = min(float(bits.max()) * _LN2, _LAM_MAX)
-    lo0 = hi0 - 2.0 * max(budget, math.log1p(budget / T_MIN))
+    lo0 = min(hi0 - 2.0 * max(budget, math.log1p(budget / T_MIN)), math.nextafter(hi0, -math.inf))
     log_a = np.log(a)
     log_budget = math.log(budget)
     k = len(a)

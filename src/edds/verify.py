@@ -160,7 +160,8 @@ def _probe_sets(name: str, tol: float, k: int, slack: Callable[..., float], f: S
     report is the loop's, and memory beyond the table stays flat up to
     ``_GROUND_MAX`` cells.  The sampled mode draws a mask with at least k
     cells outside it, then k distinct cells of those, and evaluates each
-    subset once.  Only the worst witness is turned back into a set.
+    subset once; with fewer than k cells there is no such mask, and both
+    modes report 0 trials.  Only the worst witness is turned back into a set.
     """
     _check_trials(trials)
     ground = tuple(f.ground)
@@ -186,7 +187,7 @@ def _probe_sets(name: str, tol: float, k: int, slack: Callable[..., float], f: S
     else:
         v = cache(lambda mask: float(f.fn(_subset_of(ground, mask))))
         rng = np.random.default_rng(seed)
-        for _ in range(trials):
+        for _ in range(trials if m >= k else 0):
             while True:
                 mask = int(rng.integers(0, 1 << m))
                 rest = [b for b in range(m) if not mask >> b & 1]

@@ -67,6 +67,16 @@ def test_solve_rejects_nonpositive_energy(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("bits,energy", [("5", "1e-22"), ("700,1", "1e-20"), ("20,30", "1e-22"),
+                                         ("1,1", "1e-23"), ("60", "1e-21")])
+def test_solve_tiny_budget_is_certified(capsys, bits, energy):
+    # these budgets once exited 1 with "error: math domain error"
+    code, doc = solve_json(capsys, "solve", "--bits", bits, "--energy", energy)
+    assert code == 0
+    assert doc["converged"] is True
+    assert sum(doc["alloc"]["energies"]) == pytest.approx(float(energy), rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

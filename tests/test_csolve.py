@@ -458,6 +458,24 @@ def test_overflowing_distortion_raises_domain_error():
         solve_fixed_order(Instance((1023.9, 1023.9), 1e-3), Order((1, 2)))
 
 
+# Budgets below what one float64 step of the multiplier under B_max ln 2
+# spends, which once collapsed the bracket and ended in math.log(0.0); the
+# last two are subnormal.
+_TINY_BUDGETS = [((5.0,), 1e-22), ((700.0, 1.0), 1e-20), ((20.0, 30.0), 1e-22),
+                 ((1.0, 1.0), 1e-23), ((60.0,), 1e-21), ((5.0,), 5e-324), ((1e-300,), 5e-324)]
+
+
+@pytest.mark.parametrize("bits,energy", _TINY_BUDGETS)
+def test_tiny_budgets_solve_certified(bits, energy):
+    # The largest packets share the budget; the others get nothing.
+    inst = Instance(bits, energy)
+    report = solve_fixed_order(inst, spf_order(inst))
+    assert report.converged and abs(report.duality_gap) <= GAP_TOL
+    top = [b == max(bits) for b in bits]
+    want = [energy / sum(top) if is_top else 0.0 for is_top in top]
+    assert report.alloc.energies == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_non_convergence_is_reported_not_raised(monkeypatch):
     monkeypatch.setattr(csolve, "_MAX_STEPS", 1)
     inst = Instance((15.0, 20.0), 50.0)
@@ -532,51 +550,88 @@ def test_truncated_gap_is_inf_where_it_cannot_be_formed(monkeypatch):
             assert not report.converged and report.iterations == m
 
 
-# The per-packet closed forms as they were before expm1(-u) was shared
-# between w2 and the slope and the Taylor series was skipped where no u is
-# small: the reference the leaner ones must match bit for bit.
-
-
-def _reference_w2(u):
-    series = 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720)))
-    return np.where(u < 1e-2, series, (u + np.expm1(-u)) / u / u)
+# The per-packet closed forms without their shortcuts: the Taylor series
+# applied through np.where at every Newton step and the boundary forms always
+# computed.  The kernel skips each where no element needs it, and must match
+# this plain form bit for bit.
 
 
 def _reference_snr(log_c):
     u = np.logaddexp(0.0, 0.5 * (log_c + LN2))
-    for _ in range(5):
-        w2 = _reference_w2(u)
-        slope = 1.0 - np.expm1(-u) / u / (u * w2)
-        u = u - (u + 2.0 * np.log(u) + np.log(w2) - log_c) / slope
-    return u, w2, 1.0 / slope
+    for _ in range(csolve._SNR_STEPS):
+        small = u < 1e-2
+        series = 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720)))
+        w = u + np.expm1(-u)
+        log_w = np.where(small, 2.0 * np.log(u) + np.log(series), np.log(w))
+        du = np.where(small, u * series, w / u)
+        last = u
+        u = u - (u + log_w - log_c) * du
+    return u, du / last, du
 
 
 def _reference_packets(lam, bits, log_a):
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = bits * LN2 - lam
-        u, w2, du = _reference_snr(log_a - lam)
-        r = np.expm1(u) / u
-        e = (k - u) * r
-        de = (du - 1.0) * r - (k - u) * np.exp(u) * w2 * du
-        t = k / u - 1.0
-        edge = t < T_MIN
-        e_min = T_MIN * np.expm1(np.maximum(k, 0.0) / (T_MIN + 1.0))
-        de_min = np.where(k > 0.0, -(e_min + T_MIN) / (T_MIN + 1.0), 0.0)
+    k = bits * LN2 - lam
+    u, w2, du = _reference_snr(log_a - lam)
+    r = np.expm1(u) / u
+    e = (k - u) * r
+    de = (du - 1.0) * r - (k - u) * np.exp(u) * w2 * du
+    t = k / u - 1.0
+    edge = t < T_MIN
+    e_min = T_MIN * np.expm1(np.maximum(k, 0.0) / (T_MIN + 1.0))
+    de_min = np.where(k > 0.0, -(e_min + T_MIN) / (T_MIN + 1.0), 0.0)
     return np.where(edge, e_min, e), np.where(edge, T_MIN, t), np.where(edge, de_min, de)
 
 
 def test_packets_match_the_reference_bit_for_bit():
     rng = np.random.default_rng(61)
     small = 0
-    for _ in range(1000):
-        n = int(rng.integers(1, 65))
-        bits = rng.uniform(0.5, 80.0, n)
-        log_a = np.log(rng.permutation(n) + 1.0)
-        lam = float(rng.uniform(-40.0, 45.0))
-        small += bool((_reference_snr(log_a - lam)[0] < 1e-2).any())
-        for got, want in zip(_packets(lam, bits, log_a), _reference_packets(lam, bits, log_a)):
-            assert got.tobytes() == want.tobytes()
+    with np.errstate(all="ignore"):
+        for _ in range(1000):
+            n = int(rng.integers(1, 65))
+            bits = rng.uniform(0.5, 80.0, n)
+            log_a = np.log(rng.permutation(n) + 1.0)
+            lam = float(rng.uniform(-40.0, 45.0))
+            small += bool((_reference_snr(log_a - lam)[0] < 1e-2).any())
+            for got, want in zip(_packets(lam, bits, log_a),
+                                 _reference_packets(lam, bits, log_a)):
+                assert got.tobytes() == want.tobytes()
     assert small >= 100  # the series branch is exercised, not just the plain one
+
+
+def _long_snr(log_c):
+    """u solving e**u (u - 1) + 1 = c in extended precision: Newton on the
+    same F, with the series of w / u**2 taken to u**15 below u = 0.1."""
+    ld = np.longdouble
+    log_c = log_c.astype(ld)
+    u = np.logaddexp(ld(0), (log_c + np.log(ld(2))) / 2)
+    for _ in range(10):
+        small = u < ld("0.1")
+        series, term = np.zeros_like(u), np.full_like(u, 1 / ld(2))
+        for j in range(3, 19):  # w / u**2 = sum_j (-u)**(j - 2) / j!
+            series, term = series + term, term * -u / j
+        w = u + np.expm1(-u)
+        log_w = np.where(small, 2 * np.log(u) + np.log(series), np.log(w))
+        du = np.where(small, u * series, w / u)
+        u = u - (u + log_w - log_c) * du
+    return u
+
+
+def test_snr_is_accurate_over_every_log_c():
+    # ln c over [-745, 709.8], c from the least subnormal to near the largest
+    # float, plus u on both sides of the series switch at 1e-2, against an
+    # extended-precision root.
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("no extended precision on this platform")
+    near = np.geomspace(5e-3, 2e-2, 2001, dtype=np.longdouble)
+    log_c = np.concatenate([
+        np.linspace(-745.0, 709.8, 100_001),
+        (near + np.log(near + np.expm1(-near))).astype(float),  # ln c at u = near
+    ])
+    with np.errstate(all="ignore"):
+        u = csolve._snr(log_c)[0]
+        want = _long_snr(log_c)
+    rel = np.abs((u - want) / want).astype(float)
+    assert rel.max() <= 3e-14
 
 
 def test_solve_rejects_bad_inputs():

@@ -7,10 +7,14 @@ delay term is known to break supermodularity of the full cost.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +261,29 @@ def test_sampled_set_probes_keep_their_seeded_reports():
     for (seed, name), want in _SAMPLED_REPORTS.items():
         probe = check_monotone if name == "monotone" else check_supermodular
         assert repr(probe(sf, trials=400, seed=seed)) == want, (seed, name)
+
+
+def test_sampled_probes_on_too_few_cells_report_no_trials():
+    # No set has k cells outside it (k = 2 for supermodularity, 1 for
+    # monotonicity), so no draw can succeed: the sampled mode once looped
+    # forever.  A child process with a timeout turns a hang into a failure.
+    code = (
+        "from edds.verify import SetFunction, check_monotone, check_supermodular\n"
+        "for check, ground in ((check_supermodular, ((1, 1),)), (check_supermodular, ()),\n"
+        "                      (check_monotone, ())):\n"
+        "    print(repr(check(SetFunction(ground, lambda s: float(len(s))), trials=3,\n"
+        "                     exhaustive=False)))\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, timeout=30)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.splitlines() == [
+        "PropertyReport(name='supermodular', trials=0, violations=0, worst_witness=None, "
+        "margin=0.0)"] * 2 + [
+        "PropertyReport(name='monotone', trials=0, violations=0, worst_witness=None, "
+        "margin=0.0)"]
 
 
 def _greedy_runs(count, seed):

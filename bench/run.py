@@ -8,9 +8,7 @@ checkout to run rotates each pass), so that drift in the host's speed falls
 on all of them alike.  Each label keeps every pass's wall time and their
 least, next to the work counts that the public outputs give: candidate rows
 the oracle scores, probe trials, subsets a set probe evaluates, greedy
-steps, orders solved, and for each solve its multiplier steps and the SNR
-Newton steps they make (multiplier steps times that checkout's
-``csolve._SNR_STEPS``).  Time a parent against a change with
+steps, multiplier steps and orders solved.  Time a parent against a change with
 
     python bench/run.py --src ../parent --label parent --src . --label change \\
         --out BENCH_14.json
@@ -124,8 +122,7 @@ def cases(edds) -> dict:
     for name, inst in (("solve-n4", solve_inst), ("solve-n64", wide_inst)):
         out[name] = (
             lambda inst=inst: edds.csolve.solve_fixed_order(inst, Order.identity(inst.n)),
-            lambda rep: {"multiplier_steps": rep.iterations,
-                         "snr_newton_steps": rep.iterations * edds.csolve._SNR_STEPS},
+            lambda rep: {"multiplier_steps": rep.iterations},
         )
     for name, inst in (("brute-n3", search_inst), ("brute-n7", brute_inst)):
         out[name] = (

@@ -584,18 +584,21 @@ def _reference_packets(lam, bits, log_a):
 
 def test_packets_match_the_reference_bit_for_bit():
     rng = np.random.default_rng(61)
-    small = 0
+    small = inner = 0
     with np.errstate(all="ignore"):
         for _ in range(1000):
             n = int(rng.integers(1, 65))
             bits = rng.uniform(0.5, 80.0, n)
             log_a = np.log(rng.permutation(n) + 1.0)
             lam = float(rng.uniform(-40.0, 45.0))
-            small += bool((_reference_snr(log_a - lam)[0] < 1e-2).any())
+            u = _reference_snr(log_a - lam)[0]
+            small += bool((u < 1e-2).any())
+            inner += bool(((bits * LN2 - lam) / u - 1.0 >= T_MIN).all())
             for got, want in zip(_packets(lam, bits, log_a),
                                  _reference_packets(lam, bits, log_a)):
                 assert got.tobytes() == want.tobytes()
     assert small >= 100  # the series branch is exercised, not just the plain one
+    assert inner >= 100  # and so are steps where no packet is on a boundary
 
 
 def _long_snr(log_c):

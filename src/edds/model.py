@@ -25,6 +25,8 @@ import numpy as np
 T_MIN = 1e-6
 
 _LN2 = math.log(2.0)
+# Below this energy e / t cannot overflow float64 for any t >= T_MIN.
+_E_SAFE = T_MIN * sys.float_info.max
 
 
 class DomainError(ValueError):
@@ -213,14 +215,26 @@ def shannon_bits(energy, time):
 
     Vectorized; accepts scalars or arrays.  Strictly increasing in both
     arguments (for positive energy) and bounded above by energy / ln 2.
+    Where e / t overflows float64 (energies near its maximum), ln(1 + e/t)
+    is taken as ln e - ln t + log1p(t/e), so the bits stay finite.
     """
     e = np.asarray(energy, dtype=float)
     t = np.asarray(time, dtype=float)
-    if (t < T_MIN).any():
-        raise DomainError(f"time must be at least t_min={T_MIN}")
-    if (e < 0).any():
-        raise DomainError("energy must be non-negative")
-    out = t * np.log1p(e / t) / _LN2
+    # Three reductions prove the common case: every time in the domain and
+    # every energy non-negative and too small for e / t to overflow, as
+    # t >= T_MIN.  Anything else, nan included, takes the checked form.
+    safe = 0.0 <= e.min(initial=0.0) and e.max(initial=0.0) <= _E_SAFE
+    if safe and t.min(initial=math.inf) >= T_MIN:
+        ln = np.log1p(e / t)
+    else:
+        if (t < T_MIN).any():
+            raise DomainError(f"time must be at least t_min={T_MIN}")
+        if (e < 0).any():
+            raise DomainError("energy must be non-negative")
+        with np.errstate(all="ignore"):
+            x = e / t
+            ln = np.where(np.isinf(x), np.log(e) - np.log(t) + np.log1p(t / e), np.log1p(x))
+    out = t * ln / _LN2
     return float(out) if out.ndim == 0 else out
 
 

@@ -300,14 +300,19 @@ def check_convexity(
     three slacks feed one report (the block checks use zero tolerance).
     Raises ``ValueError`` for ``trials < 0``.
 
-    Trials run in blocks of ``_TRIAL_BLOCK``: the seeded generator draws
-    each trial's points in turn, then one NumPy pass scores the block's
-    costs and curvature blocks, element for element as a per-trial loop
-    would, and the slacks are recorded in trial order (the midpoint, then
-    packets 1..n).  The report is the loop's, and memory stays flat in
-    ``trials``.  Where a block's entries overflow (packets of about a
-    thousand bits) its slacks are nan, quietly: a nan slack counts as a
-    trial and nothing else, as min(det, trace) and ``<`` treat it.
+    Trials run in blocks of ``_TRIAL_BLOCK`` (the last one short).  For
+    each block the seeded generator makes three draws, in this order: the
+    budget fractions ``uniform`` of shape (rows, 2, 1), the directions
+    ``dirichlet`` of shape (rows, 2), and the times ``uniform(0.1, 10)`` of
+    shape (rows, 2, n); trial k's points are x = (e[k, 0], t[k, 0]) and
+    y = (e[k, 1], t[k, 1]).  Seeded reports therefore depend on
+    ``_TRIAL_BLOCK``.  One NumPy pass scores the block's costs and curvature
+    blocks, element for element as a per-trial loop would, and the slacks
+    are recorded in trial order (the midpoint, then packets 1..n).  The
+    report is that loop's, and memory stays flat in ``trials``.  Where a
+    block's entries overflow (packets of about a thousand bits) its slacks
+    are nan, quietly: a nan slack counts as a trial and nothing else, as
+    min(det, trace) and ``<`` treat it.
     """
     _check_trials(trials)
     if order.n != inst.n:
@@ -328,11 +333,9 @@ def check_convexity(
 
     for start in range(0, trials, _TRIAL_BLOCK):
         rows = min(_TRIAL_BLOCK, trials - start)
-        ex, tx, ey, ty = (np.empty((rows, n)) for _ in range(4))
-        for k in range(rows):
-            for e, t in ((ex, tx), (ey, ty)):
-                e[k] = inst.energy * rng.uniform() * rng.dirichlet(ones)
-                t[k] = rng.uniform(0.1, 10.0, n)
+        e = inst.energy * rng.uniform(size=(rows, 2, 1)) * rng.dirichlet(ones, size=(rows, 2))
+        t = rng.uniform(0.1, 10.0, (rows, 2, n))
+        ex, ey, tx, ty = e[:, 0], e[:, 1], t[:, 0], t[:, 1]
         em, tm = 0.5 * (ex + ey), 0.5 * (tx + ty)
         slacks = np.empty((rows, n + 1))
         with np.errstate(over="ignore", invalid="ignore"):

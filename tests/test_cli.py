@@ -27,6 +27,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _child_env():
+    """The environment for a fresh ``python -m edds.cli`` on this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def solve_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
@@ -75,6 +81,26 @@ def test_solve_tiny_budget_is_certified(capsys, bits, energy):
     assert code == 0
     assert doc["converged"] is True
     assert sum(doc["alloc"]["energies"]) == pytest.approx(float(energy), rel=1e-12)
+
+
+@pytest.mark.parametrize("energy", ["1e307", "1.7e308"])
+def test_solve_huge_budget_writes_finite_strict_json(energy):
+    # e / t overflowed float64 at these budgets: stderr carried NumPy's
+    # RuntimeWarning and stdout "bhat": [Infinity], which is not JSON.  A
+    # fresh process shows the warning as a user would see it.
+    argv = ["solve", "--bits", "5", "--energy", energy]
+    child = subprocess.run([sys.executable, "-m", "edds.cli", *argv],
+                           capture_output=True, text=True, env=_child_env(), timeout=60)
+    lines = child.stderr.splitlines()
+    assert len(lines) <= 1 and all(line.startswith("warning: ") for line in lines), child.stderr
+    assert child.returncode == (2 if lines else 0)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(child.stdout, parse_constant=refuse)
+    assert 14.0 < doc["cost"]["bhat"][0] < 15.0
+    assert doc["alloc"]["energies"] == [float(energy)]
 
 
 @pytest.mark.parametrize(
@@ -503,8 +529,7 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
         ("solve", *common, "--search", "brute"),
         ("sweep", "--fix", "B1=15", "--vary", "B2=18:22:2", "--energy", "50", "--search", "spf"),
     ]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     codes = []
     for argv in commands:
         in_process = run_cli(capsys, *argv)
@@ -520,8 +545,7 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
 def test_closed_stdout_exits_141_quietly(bits, energy):
     # The read end is closed before the child writes: a short output fails at
     # main's flush, a long one (a 3000-step trace) in the middle of a write.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -1,6 +1,8 @@
 """Unit tests for instances, orders, the rate formula and the cost breakdown."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +97,28 @@ def test_shannon_bits_concave_in_energy():
     mid = shannon_bits(0.5 * (e1 + e2), t)
     avg = 0.5 * (shannon_bits(e1, t) + shannon_bits(e2, t))
     assert np.all(mid >= avg - 1e-9)
+
+
+def test_shannon_bits_stays_finite_where_e_over_t_overflows():
+    # e / t overflowed float64 here: a RuntimeWarning and infinite bits.
+    e = np.array([1e307, 1.7e308, sys.float_info.max, 2.0e302, 0.0, 3.0])
+    t = np.array([0.014166092850140366, T_MIN, 0.5, T_MIN, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = shannon_bits(e, t)
+        assert [shannon_bits(e[k], t[k]) for k in range(4)] == got[:4].tolist()
+    for k in range(4):
+        want = t[k] * (math.log(e[k]) - math.log(t[k])) / LN2
+        assert got[k] == pytest.approx(want, rel=1e-15)
+    assert got[0] == pytest.approx(14.534, abs=1e-3)  # `solve --bits 5 --energy 1e307`'s bhat
+    # the other entries keep the plain formula bit for bit, in either branch
+    assert got[4:].tolist() == (t[4:] * np.log1p(e[4:] / t[4:]) / LN2).tolist()
+    rng = np.random.default_rng(4)
+    e = 10.0 ** rng.uniform(-300.0, 302.25, 2000)  # up to T_MIN * float64 max
+    t = 10.0 ** rng.uniform(-6.0, 300.0, 2000)
+    assert shannon_bits(e, t).tolist() == (t * np.log1p(e / t) / LN2).tolist()
+    with pytest.raises(DomainError):
+        shannon_bits(np.array([1e307, -1.0]), 1.0)
 
 
 # ---------------------------------------------------------------------------

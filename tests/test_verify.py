@@ -448,7 +448,8 @@ def test_negative_trials_are_refused_and_zero_runs_none():
 
 
 # ---------------------------------------------------------------------------
-# The batched convexity probe against the per-trial loop it replaced.
+# The batched convexity probe against a loop that scores one trial at a time
+# from the same seeded block draws.
 
 
 def _scalar_hessian_block(inst, packet, e, t):
@@ -473,13 +474,16 @@ def _loop_check_convexity(inst, order, trials=1000, seed=0):
         return float(np.exp2(bits - shannon_bits(e, t)).sum() + a @ t)
 
     def draw():
-        e = inst.energy * rng.uniform() * rng.dirichlet(np.ones(n))
-        t = rng.uniform(0.1, 10.0, n)
-        return e, t
+        """Each trial's (x, y) in turn, from three draws per block of trials."""
+        for start in range(0, trials, verify._TRIAL_BLOCK):
+            rows = min(verify._TRIAL_BLOCK, trials - start)
+            u = rng.uniform(size=(rows, 2, 1))
+            d = rng.dirichlet(np.ones(n), size=(rows, 2))
+            t = rng.uniform(0.1, 10.0, (rows, 2, n))
+            for k in range(rows):
+                yield [(inst.energy * u[k, p, 0] * d[k, p], t[k, p]) for p in (0, 1)]
 
-    for _ in range(trials):
-        ex, tx = draw()
-        ey, ty = draw()
+    for (ex, tx), (ey, ty) in draw():
         em, tm = 0.5 * (ex + ey), 0.5 * (tx + ty)
         mid_slack = 0.5 * (cost(ex, tx) + cost(ey, ty)) - cost(em, tm)
         probe.record(mid_slack, ("midpoint", tuple(ex), tuple(tx), tuple(ey), tuple(ty)))
@@ -540,6 +544,40 @@ def test_batched_convexity_witness_matches_the_loop(monkeypatch):
         assert report.violations == report.trials and report.worst_witness is not None
     report = _assert_same_reports(Instance((1000.0, 1000.0), 1.0), Order.identity(2), 100, 1)
     assert 100 <= report.violations < report.trials  # the nan slacks never count
+
+
+def test_convexity_draws_per_block_with_a_short_last_block(monkeypatch):
+    # The seeded draw order is per block of _TRIAL_BLOCK trials, so the
+    # reports depend on it; 2 full blocks of 7 and a last block of 3.
+    cases = list(_convexity_cases(12, seed=8))
+    wide = [check_convexity(inst, order, 2 * 7 + 3, seed) for inst, order, seed in cases]
+    monkeypatch.setattr(verify, "_TRIAL_BLOCK", 7)
+    for (inst, order, seed), other in zip(cases, wide):
+        report = _assert_same_reports(inst, order, 2 * 7 + 3, seed)
+        assert report.trials == (2 * 7 + 3) * (inst.n + 1)
+        if inst.energy > 0:
+            assert report.margin != other.margin, (inst, seed)
+    monkeypatch.setattr(verify, "CONVEXITY_TOL", -math.inf)
+    for inst, order, seed in cases:
+        assert _assert_same_reports(inst, order, 2 * 7 + 3, seed).worst_witness is not None
+
+
+def test_convexity_draws_only_feasible_points(monkeypatch):
+    # Every cost the probe evaluates: the block's points x and y, then their
+    # midpoint.  x and y spend at most E, to rounding, with t in [0.1, 10).
+    calls = []
+    monkeypatch.setattr(verify, "shannon_bits",
+                        lambda e, t: calls.append((e, t)) or shannon_bits(e, t))
+    for inst, order, seed in _convexity_cases(30, seed=4):
+        calls.clear()
+        trials = verify._TRIAL_BLOCK + 9
+        check_convexity(inst, order, trials, seed)
+        assert len(calls) == 2 * 3
+        for e, t in calls[0::3] + calls[1::3]:
+            assert e.shape == t.shape and e.shape[1] == inst.n
+            assert np.all(e >= 0.0) and np.all(e.sum(1) <= inst.energy * (1 + 1e-12))
+            assert np.all(t >= 0.1) and np.all(t < 10.0)
+        assert sum(len(e) for e, _ in calls[0::3]) == trials
 
 
 def test_hessian_block_matches_the_scalar_formula_bit_for_bit():

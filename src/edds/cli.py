@@ -22,13 +22,7 @@ import sys
 from .model import DomainError, Instance, Order, T_MIN, instance_from_doc, shannon_bits
 from .csolve import GAP_TOL, SolveReport, solve_fixed_order
 from .order import brute_force_order, spf_order
-from .discrete import (
-    ORACLE_CAPS,
-    DiscreteParams,
-    greedy_allocate,
-    oracle_allocate,
-    trace_to_csv,
-)
+from .discrete import DiscreteParams, greedy_allocate, oracle_allocate, trace_to_csv
 from .verify import (
     SetFunction,
     check_convexity,
@@ -290,6 +284,8 @@ def cmd_check(args) -> int:
         raise _UsageError(f"--packet must lie in 1..{inst.n}")
     cells = args.ground_set
     check_ground_size(cells)  # before any cell or bit table is built
+    if args.check_slots < 1:
+        raise _UsageError(f"--check-slots must be at least 1, got {args.check_slots}")
     slots = max(1, min(params.max_slots, args.check_slots, cells))
     levels = max(1, math.ceil(cells / slots))
     base = DiscreteParams(params.slot_len, params.quantum, params.budget_quanta, slots)
@@ -349,27 +345,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid-t", dest="grid_t", help="surface time grid start:stop:step")
     p.set_defaults(func=cmd_sweep)
 
-    def discrete_flags(p, default_max_slots=None):
+    def discrete_flags(p):
         instance_flags(p)
         p.add_argument("--slot-len", dest="slot_len", type=float, help="slot length in seconds")
         p.add_argument("--quantum", type=float, help="energy quantum in joules")
+        p.add_argument("--max-slots", dest="max_slots", type=int,
+                       help="most slots an allocation may occupy (default: the quanta budget Q)")
+
+    def greedy_flags(p):
+        discrete_flags(p)
         p.add_argument("--spend-all", dest="spend_all", action="store_true",
                        help="keep spending quanta even when no move improves")
-        if default_max_slots is None:
-            default = "the quanta budget Q"
-        else:
-            packets, quanta, slots = ORACLE_CAPS
-            default = (f"{default_max_slots}; the oracle is capped at {packets} packets, "
-                       f"{quanta} quanta and {slots} slots")
-        p.add_argument("--max-slots", dest="max_slots", type=int, default=default_max_slots,
-                       help=f"most slots an allocation may occupy (default: {default})")
 
     p = sub.add_parser("discrete", help="greedy resource-block allocation")
-    discrete_flags(p)
+    greedy_flags(p)
     p.set_defaults(func=cmd_discrete)
 
     p = sub.add_parser("oracle", help="exhaustive optimum and greedy ratio")
-    discrete_flags(p, default_max_slots=6)
+    greedy_flags(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("check", help="property probes")

@@ -214,11 +214,9 @@ def _dual_solve(bits, a, budget):
     ``a`` holds one row of delay weights per order, and every row runs this
     root find on its own: its own bracket, its own kind of step, and its own
     stop, after which it is frozen.  Each step batches the rows still
-    running.  Every operation is elementwise or a row sum, and g is taken
-    row by row with math.log (np.log differs from it in the last bit on a
-    few inputs), so a row's answer is bit for bit the one it gets alone.
-    Returns each row's last lam, its energies and times, their sum and the
-    steps taken, at most ``_MAX_STEPS``.
+    running.  Every operation is elementwise or a row sum, so a row's answer
+    is bit for bit the one it gets alone.  Returns each row's last lam, its
+    energies and times, their sum and the steps taken, at most ``_MAX_STEPS``.
     """
     hi0 = min(float(bits.max()) * _LN2, _LAM_MAX)
     lo0 = min(hi0 - 2.0 * max(budget, math.log1p(budget / T_MIN)), math.nextafter(hi0, -math.inf))
@@ -234,7 +232,7 @@ def _dual_solve(bits, a, budget):
         for it in range(1, _MAX_STEPS + 1):
             er, tr, de = _packets(x[:, None], bits, log_a)
             s, ds = er.sum(axis=1), de.sum(axis=1)
-            g = np.array([math.log(v) for v in s.tolist()]) - log_budget
+            g = np.log(s) - log_budget
             down = g <= 0.0  # nan: sum overflowed
             lo, hi = np.where(down, lo, x), np.where(down, x, hi)
             nxt = x - g * s / ds

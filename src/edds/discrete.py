@@ -312,11 +312,10 @@ def greedy_allocate(
     owner: list[int] = []
     quanta: list[int] = []
     sent = [0.0] * n
-    imax = [0] * n
     per = idle_costs(bits)
     total = float(sum(per))
-    # Per packet: its slots in order, the index of its first least-loaded
-    # one, and the power terms of its add and its open.
+    # Per packet: its slots in order (the last sets its delay), the index of
+    # its first least-loaded one, and the power terms of its add and its open.
     slots: list[list[int]] = [[] for _ in range(n)]
     low = [0] * n
     add_pow = [0.0] * n
@@ -340,7 +339,7 @@ def greedy_allocate(
             i, j = open_heap[0][1], j_open
             new_d = open_pow[i] + open_delay
         elif add_heap:
-            new_d = add_pow[i] + slot_len * imax[i]
+            new_d = add_pow[i] + slot_len * slots[i][-1]
         else:
             break  # no move
         new_total = total - per[i] + new_d
@@ -352,7 +351,6 @@ def greedy_allocate(
             owner.append(i + 1)
             quanta.append(1)
             sent[i] += table[1]
-            imax[i] = j
             mine.append(j)
             if quanta[mine[low[i]] - 1] > 1:
                 low[i] = len(mine) - 1

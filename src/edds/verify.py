@@ -133,7 +133,9 @@ class _Probe:
 
 
 def check_ground_size(cells: int) -> None:
-    """Refuse a ground set of more than ``_GROUND_MAX`` cells."""
+    """Refuse a negative ground set size, or one above ``_GROUND_MAX`` cells."""
+    if cells < 0:
+        raise ValueError(f"ground set size must be non-negative, got {cells}")
     if cells > _GROUND_MAX:
         raise SizeError(f"ground set is capped at {_GROUND_MAX} cells, got {cells}")
 

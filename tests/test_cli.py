@@ -121,12 +121,25 @@ def test_solve_huge_budget_writes_finite_strict_json(energy):
         ("sweep", "--energy", "4"),  # neither surface nor fix/vary
         ("discrete", "--bits", "2", "--energy", "2", "--slot-len", "1"),
         ("nonsense",),
+        ("sweep", "--fix", "B1=5", "--vary", "B2=1:3", "--energy", "4"),
+        ("sweep", "--fix", "B1=5", "--vary", "B2=a:b:c", "--energy", "4"),
+        ("sweep", "--fix", "B1=x", "--vary", "B2=1:3:1", "--energy", "4"),
+        ("check", "--bits", "2", "--energy", "2", "--slot-len", "1", "--quantum", "1",
+         "--spend-all"),  # check runs no greedy
     ],
 )
 def test_bad_inputs_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
-    assert "error:" in err
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_config_that_is_not_an_object_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: config must be a JSON object\n")
 
 
 def test_overflowing_distortion_exits_1_with_one_line(capsys):
@@ -628,15 +641,42 @@ def test_non_finite_or_too_short_grid_exits_1(capsys, command, slot_len, quantum
     assert err.count("\n") == 1 and err.startswith(f"error: {field} must be")
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--convexity-trials"])
-def test_check_refuses_negative_trials(capsys, flag):
+@pytest.mark.parametrize("flag, message", [
+    pytest.param("--trials", "trials must be non-negative", id="--trials"),
+    pytest.param("--convexity-trials", "trials must be non-negative", id="--convexity-trials"),
+    # a negative size once sliced the ground set from its end, and exited 0
+    pytest.param("--ground-set", "ground set size must be non-negative", id="--ground-set"),
+    pytest.param("--check-slots", "--check-slots must be at least 1", id="--check-slots"),
+])
+def test_check_refuses_negative_trials(capsys, flag, message):
     code, out, err = run_cli(
         capsys, "check", "--bits", "2,3", "--energy", "4", "--slot-len", "1",
         "--quantum", "1", flag, "-3",
     )
     assert code == 1
     assert out == ""
-    assert err == "error: trials must be non-negative, got -3\n"
+    assert err == f"error: {message}, got -3\n"
+
+
+def test_check_on_an_empty_ground_set_runs_no_set_trials(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--bits", "2,3", "--energy", "4", "--slot-len", "1",
+        "--quantum", "1", "--ground-set", "0", "--check-slots", "1",
+    )
+    assert code == 0 and err == ""
+    rows = _check_rows(out)
+    assert rows["monotone"]["trials"] == rows["supermodular"]["trials"] == 0
+
+
+def test_check_cuts_long_witnesses(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--bits", "6", "--energy", "12", "--slot-len", "2", "--quantum", "1",
+        "--ground-set", "12", "--check-slots", "4", "--exhaustive",
+    )
+    assert code == 0 and err == ""
+    witness = _check_rows(out)["monotone"]["witness"]
+    assert len(witness) == 60 and witness.endswith("...")
+    assert witness.startswith("[[[1, 1], [1, 2], [1, 3], [2, 1]")
 
 
 def test_check_on_large_packets_keeps_stderr_clean(capsys):

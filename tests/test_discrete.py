@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from edds import discrete
 from edds.model import InfeasibleError, Instance, SizeError
 from edds.discrete import (
     MAX_QUANTA,
@@ -408,15 +409,27 @@ def _tie_runs(seed):
     yield tie, DiscreteParams.for_instance(tie, 1.0, 1.0)
 
 
-def test_greedy_matches_full_scan_reference():
+def test_greedy_matches_full_scan_reference(monkeypatch):
     # One add per packet, at its first least-loaded slot, and two heaps must
-    # pick exactly the full scan's move.
-    runs = [*certificate_sweep(), *_random_runs(60, seed=6)]
+    # pick exactly the full scan's move.  The last run rebuilds its add heap
+    # from the live entries once and its open heap twice, in both modes.
+    rebuilt = []
+
+    def drop_stale(heap, ver):
+        rebuilt.append(len(heap[0]))
+        real(heap, ver)
+
+    real = discrete._drop_stale
+    monkeypatch.setattr(discrete, "_drop_stale", drop_stale)
+    stale = Instance((7.943, 6.049), 37.75)
+    runs = [*certificate_sweep(), *_random_runs(60, seed=6),
+            (stale, DiscreteParams.for_instance(stale, 0.02, 0.25))]
     for inst, params in runs:
         for spend_all in (False, True):
             got = greedy_allocate(inst, params, spend_all)
             want = _full_scan_greedy(inst, params, spend_all)
             assert repr(got) == repr(want), (inst.n, params, spend_all)
+    assert 4 in rebuilt  # an add entry is (key, slot, packet, version)
 
 
 def test_greedy_near_set_matches_full_scan_reference():

@@ -181,6 +181,12 @@ def test_evaluate_cost_infeasible():
         evaluate_cost(inst, ContinuousAllocation((0.8, 0.3), (1.0, 1.0), Order((1, 2))))
 
 
+def test_evaluate_cost_size_mismatch():
+    inst = Instance((2.0, 2.0), 1.0)
+    with pytest.raises(ValueError, match="allocation size does not match instance"):
+        evaluate_cost(inst, ContinuousAllocation((0.5,), (1.0,), Order((1,))))
+
+
 def test_evaluate_cost_relabel_invariance():
     rng = np.random.default_rng(11)
     for _ in range(20):

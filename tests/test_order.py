@@ -13,7 +13,7 @@ from edds.order import (
     spf_agreement_experiment,
     spf_order,
 )
-from edds import csolve
+from edds import csolve, order as order_module
 from edds.csolve import solve_fixed_order
 
 
@@ -146,6 +146,23 @@ def test_agreement_experiment_serialization():
     lines = csv_text.strip().split("\n")
     assert lines[0] == "seed,instance,spf_cost,opt_cost,gap"
     assert len(lines) == 4
+
+
+def test_agreement_experiment_reports_a_losing_order(monkeypatch):
+    # SPF is optimal, so only another order in its place, longest first,
+    # reaches the branch that reports a disagreement.
+    monkeypatch.setattr(
+        order_module, "spf_order",
+        lambda inst: Order.from_sequence(reversed(spf_order(inst).sequence())),
+    )
+    stats = spf_agreement_experiment(4, rng_seed=5, n=3)
+    assert stats.agreements < stats.count
+    assert stats.worst_gap > 0
+    worst = stats.worst_instance
+    label = ";".join(f"{b:.10g}" for b in worst.bits) + f"|{worst.energy:.10g}"
+    seed, _, spf_cost, opt_cost, gap = next(row for row in stats.rows if row[1] == label)
+    assert gap == stats.worst_gap == max(row[4] for row in stats.rows)
+    assert f"{seed},{label},{spf_cost!r},{opt_cost!r},{gap!r}" in stats.to_csv().split("\n")
 
 
 def test_agreement_experiment_size_cap():

@@ -414,12 +414,12 @@ def test_greedy_matches_full_scan_reference(monkeypatch):
     # pick exactly the full scan's move.  The last run rebuilds its add heap
     # from the live entries once and its open heap twice, in both modes.
     rebuilt = []
+    real = discrete._drop_stale
 
     def drop_stale(heap, ver):
         rebuilt.append(len(heap[0]))
         real(heap, ver)
 
-    real = discrete._drop_stale
     monkeypatch.setattr(discrete, "_drop_stale", drop_stale)
     stale = Instance((7.943, 6.049), 37.75)
     runs = [*certificate_sweep(), *_random_runs(60, seed=6),

@@ -6,9 +6,10 @@ one process.  Every case runs once per checkout as a warm-up, then
 ``PASSES`` times, alternating across the checkouts pass by pass (the first
 checkout to run rotates each pass), so that drift in the host's speed falls
 on all of them alike.  Each label keeps every pass's wall time and their
-least, next to the work counts that the public outputs give: candidate rows
-the oracle scores, probe trials, subsets a set probe evaluates, greedy
-steps, multiplier steps and orders solved.  Time a parent against a change with
+least, next to the work counts that the public outputs give: the oracle's
+step bound (the one its size guard checks), probe trials, subsets a set
+probe evaluates, greedy steps, multiplier steps and orders solved.  Time a
+parent against a change with
 
     python bench/run.py --src ../parent --label parent --src . --label change \\
         --out BENCH_14.json
@@ -33,11 +34,6 @@ from pathlib import Path
 PASSES = 9
 
 
-def _oracle_rows(n: int, q: int, slots: int) -> int:
-    """Candidates the exhaustive oracle scores: n**J owners times C(q, J) splits."""
-    return sum(n**j * math.comb(q, j) for j in range(1, min(q, slots) + 1))
-
-
 def load(src: Path, alias: str):
     """Import ``src/src/edds`` as the package ``alias``, with its own submodules."""
     init = src / "src" / "edds" / "__init__.py"
@@ -57,6 +53,7 @@ def cases(edds) -> dict:
     Instance, Order = edds.model.Instance, edds.model.Order
     DiscreteParams = edds.discrete.DiscreteParams
     greedy_allocate, oracle_allocate = edds.discrete.greedy_allocate, edds.discrete.oracle_allocate
+    plan = getattr(edds.discrete, "_oracle_plan", None)  # the DP's step bound; none before it
 
     sweep = list(edds.discrete.certificate_sweep())
     refs = {"ref1": Instance((15.0, 20.0), 50.0), "ref2": Instance((12.0, 20.0), 20.0)}
@@ -70,8 +67,8 @@ def cases(edds) -> dict:
     out = {
         "oracle-sweep": (
             lambda: [oracle_allocate(i, p) for i, p in sweep],
-            lambda _: {"instances": len(sweep), "candidate_rows": sum(
-                _oracle_rows(i.n, p.budget_quanta, p.max_slots) for i, p in sweep)},
+            lambda _: {"instances": len(sweep), **({"dp_steps": sum(
+                plan(i.n, p.budget_quanta, p.max_slots)[0] for i, p in sweep)} if plan else {})},
         ),
     }
     for name, inst in refs.items():

@@ -4,8 +4,8 @@ A library and CLI for splitting one energy budget across a batch of packets:
 a convex continuous model (per-packet energies, times and a transmission
 order) solved per order by a root find on the energy multiplier with
 per-packet closed forms, brute-force and shortest-packet-first order search,
-a discretized resource-block variant with a greedy allocator certified
-against an exhaustive oracle, and a property-check engine for the
+a discretized resource-block variant with a greedy allocator and an exact
+subset-DP oracle to measure it against, and a property-check engine for the
 structural facts the algorithms rely on.
 """
 

@@ -2,7 +2,7 @@
 
 Subcommands: ``solve`` (continuous solver, optional order search), ``sweep``
 (CSV experiment grids), ``discrete`` (greedy resource-block allocation),
-``oracle`` (exhaustive optimum plus greedy/optimal ratio) and ``check``
+``oracle`` (exact optimum plus greedy/optimal ratio) and ``check``
 (property probes).  All output is deterministic given the flags and seeds.
 
 Exit codes: 0 success, 1 usage or invalid input, 2 solver non-convergence
@@ -286,8 +286,8 @@ def cmd_check(args) -> int:
     check_ground_size(cells)  # before any cell or bit table is built
     if args.check_slots < 1:
         raise _UsageError(f"--check-slots must be at least 1, got {args.check_slots}")
-    slots = max(1, min(params.max_slots, args.check_slots, cells))
-    levels = max(1, math.ceil(cells / slots))
+    slots = min(params.max_slots, args.check_slots, cells)  # 0 gives an empty ground set
+    levels = math.ceil(cells / slots) if slots else 0
     base = DiscreteParams(params.slot_len, params.quantum, params.budget_quanta, slots)
     ownership = {j: args.packet for j in range(1, slots + 1)}
     sf = di_as_set_function(
@@ -361,7 +361,7 @@ def _build_parser() -> _Parser:
     greedy_flags(p)
     p.set_defaults(func=cmd_discrete)
 
-    p = sub.add_parser("oracle", help="exhaustive optimum and greedy ratio")
+    p = sub.add_parser("oracle", help="exact optimum and greedy ratio")
     greedy_flags(p)
     p.set_defaults(func=cmd_oracle)
 

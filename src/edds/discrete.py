@@ -9,17 +9,17 @@ belong to a single packet, slot ``j`` with ``R_j`` quanta carries
 
 where ``i_max`` is the last slot carrying any of its bits (a packet that
 never transmits pays distortion ``2**B_i`` and no delay).  The greedy
-allocator spends one quantum at a time where it helps most; the exhaustive
-oracle certifies it on small instances.
+allocator spends one quantum at a time where it helps most; the oracle
+finds the exact optimum by dynamic programming over subsets of packets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product
+from operator import add
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,8 +31,8 @@ from .model import T_MIN, DomainError, InfeasibleError, Instance, SizeError, sha
 # keeps one trace row per step.  At the cap, n = 64 with ``spend_all`` takes
 # about 7.4 s and 195 MB above the starting RSS (2-vCPU x86-64, Python 3.11).
 MAX_QUANTA = 1_000_000
-# The exhaustive oracle's caps on packets, quanta and slots.
-ORACLE_CAPS = (3, 6, 6)
+# The oracle's cap on its steps (``_oracle_plan``): up to about 2 s and 50 MB.
+MAX_ORACLE_WORK = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,9 @@ def _slot_bit_table(params: DiscreteParams, r_max: int) -> list[float]:
 def idle_costs(bits: Sequence[float]) -> list[float]:
     """Each packet's cost 2**B_i when it sends nothing.
 
-    Raises :class:`DomainError`, naming the packet, once the running sum of
-    these costs leaves float64's range.  A packet's distortion 2**(B_i - sent)
-    never exceeds 2**B_i, so a finite sum keeps every candidate's
-    distortions, and their sum, finite as well.
+    Raises :class:`DomainError`, naming the packet, once their running sum
+    leaves float64's range; as 2**(B_i - sent) <= 2**B_i, a finite sum keeps
+    every allocation's distortions, and their sum, finite as well.
     """
     per = []
     total = 0.0
@@ -299,9 +298,8 @@ def greedy_allocate(
     settle on the wrong slot count (B=2, l=0.5, e=1, Q=4 gives (4,) at
     1.8333 against (2, 2) at 1.8).  ``greedy <= 2 x optimum`` is certified
     on ``certificate_sweep`` only, and fails off it: B=(4, 7), E=12, l=1,
-    e=0.5 costs 22.1756 in both modes, while packet 1 in slot 1 with 8
-    quanta and packet 2 in slots 2-5 with 4 quanta each costs 10.7802, a
-    ratio of 2.057.
+    e=0.5 costs 22.1756 in both modes, 2.057 times the optimum 10.7802 of
+    ``oracle_allocate``.
     """
     bits = inst.bits
     n = inst.n
@@ -389,103 +387,104 @@ def greedy_allocate(
     return alloc, _checked_cost(bits, params, alloc, table), tuple(trace)
 
 
-def _compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` positive ints summing to at most `total`."""
-    if parts == 0:
-        yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(parts - 1, total - first):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)  # keys are bounded by ORACLE_CAPS
-def _candidates(n: int, q: int, width: int) -> tuple[np.ndarray, ...]:
-    """Every (owner, quanta) prefix of 1..width slots with at most q quanta.
-
-    Rows follow the oracle's enumeration order: J = 1..width slots, then the
-    owner tuples in ``product`` order, then the quanta in ``_compositions``
-    order.  Each row is padded to ``width`` with owner 0 and quanta 0.  Per
-    packet i, ``counts[i, row, r-1]`` is the number of its slots at load r
-    and ``last[i, row]`` its last slot (0 when it has none).  All four
-    arrays are read-only int8 (3 packets, 6 quanta and 6 slots make 4095
-    rows, 135 KB).
-    """
-    owners, quanta = [], []
-    for j in range(1, width + 1):
-        comps = np.array(list(_compositions(j, q)), np.int8)
-        # Base-n digits of 0..n**j - 1, the most significant first, as in product().
-        digits = np.arange(n**j)[:, None] // n ** np.arange(j - 1, -1, -1) % n + 1
-        pad = ((0, 0), (0, width - j))
-        owners.append(np.pad(np.repeat(digits.astype(np.int8), len(comps), 0), pad))
-        quanta.append(np.pad(np.tile(comps, (n**j, 1)), pad))
-    owner, load = np.concatenate(owners), np.concatenate(quanta)
-    mine = owner == np.arange(1, n + 1)[:, None, None]  # (packet, row, slot)
-    counts = (mine[..., None] & (load[..., None] == np.arange(1, q + 1))).sum(2)
-    last = (mine * np.arange(1, width + 1)).max(2)
-    table = owner, load, counts.astype(np.int8), last.astype(np.int8)
-    for a in table:
-        a.flags.writeable = False
-    return table
+def _oracle_plan(n: int, q: int, slots: int) -> tuple[int, int, int, int]:
+    """(steps, Q, slots tracked, stride) of ``oracle_allocate``: with S = 0 no quantum is
+    spent, slots are tracked (stride 2S + 1) only if S < Q, and steps bound its work."""
+    q = q if slots else 0
+    cap = slots if slots < q else 0
+    size = (q + 1) * (2 * cap + 1)
+    steps = n * 2 ** (n - 1) * (size + 1) * (size + 2) // 2 + n * (n + 1) * q * min(q, slots)
+    return steps, q, cap, 2 * cap + 1
 
 
 def oracle_allocate(
     inst: Instance,
     params: DiscreteParams,
 ) -> tuple[DiscreteAllocation, DiscreteCost]:
-    """Exhaustive optimum over contiguous slot prefixes.
+    """Exact optimum, by dynamic programming over subsets of the packets.
 
-    Enumerates every owner assignment of slots 1..J (J up to
-    min(max_slots, Q)) and every way to split at most Q quanta over them.
-    ``ORACLE_CAPS`` (packets, quanta, slots) guards the exponential search.  Ties
-    are broken toward fewer slots, then the lexicographically smallest
-    (owner, quanta) pair — the enumeration order.
-
-    The candidates come from a cached int8 table (``_candidates``) and are
-    scored in one matmul and one ``exp2``: packet i sends counts[i] @ bits
-    per load, so D_i = exp2(B_i - that) + l * last[i], summed over packets.
-    Each candidate whose vector total lies within 1e-9 * max(1, |m|) of m,
-    the smaller of the do-nothing cost and the least vector total, is then
-    scored again by the scalar ``_packet_costs`` in enumeration order and
-    kept only on a strict ``<`` against the best so far, starting from the
-    do-nothing cost.  The vector totals group a packet's bits by load, not
-    by slot, and ``exp2`` rounds differently from ``**``, so they differ
-    from the scalar totals by a few ulps; the filter's margin is far wider,
-    so every exact minimiser passes it, and the re-check returns the first
-    of them, exactly the answer a scalar scan over all candidates gives.
+    Exchange arguments (Smith's rule; Shabtay & Steiner, Discrete Appl. Math.
+    155, 2007) turn any allocation, at no higher cost, into blocks, packet i
+    sending R_i quanta over k_i slots: (1) blocks in the order of the
+    packets' last slots move no last slot later; (2) R quanta split evenly
+    over k slots send the most bits, table[r] being concave; (3) with m
+    blocks the delays sum to l * sum_p w_p k_p, weights 1..m from the back.
+    So the DP places packets from the back, the one put before m - 1 others
+    at weight m for 2**(B_i - f(R, k)) + l*m*k (f: the split's bits); idle
+    ones cost 2**B_i.  A set's row holds its least cost by x = quanta *
+    stride + slots; a block sits at offset R * stride + k, or at R with its
+    best k with no binding cap (``_oracle_plan``), so one min-plus product
+    places it.  Ties: nothing sent, then the least bitmask, fewest quanta,
+    then slots; rebuilt front to back, each block goes to the lowest-index
+    packet reaching the state, with its fewest quanta and slots, larger loads
+    first.  Raises :class:`SizeError` above ``MAX_ORACLE_WORK`` steps.
     """
-    sizes = (inst.n, params.budget_quanta, params.max_slots)
-    for what, size, cap in zip(("packets", "quanta", "slots"), sizes, ORACLE_CAPS):
-        if size > cap:
-            raise SizeError(f"oracle is capped at {cap} {what}, got {size}")
+    n, bits = inst.n, inst.bits
+    steps, q, cap, stride = _oracle_plan(n, params.budget_quanta, params.max_slots)
+    if steps > MAX_ORACLE_WORK:
+        raise SizeError(f"the oracle needs {steps} steps, above the cap of {MAX_ORACLE_WORK}")
+    idle = idle_costs(bits)
+    table = _slot_bit_table(params, q + 1)  # load q + 1 is read only times zero
+    size, inf, kmax = (q + 1) * stride, math.inf, min(q, params.max_slots)
+    # cost[k, R - lo, i, w - 1]: packet i sending R quanta over k slots at weight w, 64
+    # budgets at a time.  Under a cap, R runs from 0 and k over 0..2S, inf off 1..S.
+    ks = range(1, kmax + 1) if stride == 1 else range(stride)
+    delay = np.multiply.outer(list(ks), params.slot_len * np.arange(1, n + 1))[:, None, None]
+    parts, firsts = [], []
+    for lo in range(stride == 1, q + 1, 64):
+        sent = [(k - r % k) * table[r // k] + r % k * table[r // k + 1] if 0 < k <= r and k <= kmax
+                else -inf for k in ks for r in range(lo, min(lo + 64, q + 1))]
+        cost = np.power(0.5, np.subtract.outer(sent, bits)).reshape(len(ks), -1, n, 1) + delay
+        if stride == 1:  # R's best cost, and its k - 1
+            parts.append(np.minimum.reduce(cost))
+            firsts.append(cost.argmin(0))
+        else:  # every k, at offset R * stride + k
+            parts.append(cost.transpose(1, 0, 2, 3).reshape(-1, n, n))
+    flat = np.concatenate(parts)[stride > 1:] if parts else np.empty((0, n, n))
+    blocks = flat.transpose(1, 2, 0).tolist()  # blocks[i][w - 1][offset - 1]
 
-    bits = inst.bits
-    best_owner: tuple[int, ...] = ()
-    best_quanta: tuple[int, ...] = ()
-    best_total = float(sum(idle_costs(bits)))  # J = 0: nothing sent
-    width = min(params.max_slots, params.budget_quanta)
-    table = _slot_bit_table(params, params.budget_quanta)
-    if width:
-        owner, quanta, counts, last = _candidates(inst.n, params.budget_quanta, width)
-        sent = counts @ np.array(table[1:])
-        totals = (np.exp2(np.array(bits)[:, None] - sent) + params.slot_len * last).sum(0)
-        m = np.fmin.reduce(totals, initial=best_total)  # fmin skips nan
-        near = np.flatnonzero(totals <= m + 1e-9 * max(1.0, abs(m)))
-        for c in near.tolist():
-            j = int(np.count_nonzero(quanta[c]))  # padding carries 0 quanta
-            cand = tuple(owner[c, :j].tolist()), tuple(quanta[c, :j].tolist())
-            total = sum(_packet_costs(bits, params, *cand, table))
-            if total < best_total:
-                (best_owner, best_quanta), best_total = cand, total
-    alloc = DiscreteAllocation(best_owner, best_quanta)  # within the caps by construction
+    rows = [[0.0] + [inf] * (size - 1)]
+    for mask in range(1, 1 << n):
+        w = mask.bit_count() - 1  # the front packet's weight, less one
+        if not w or (w + 1) * stride >= size:  # a packet alone, last; or more packets than quanta
+            row = [inf] * size if w else [inf] + blocks[mask.bit_length() - 1][0]
+        else:  # the w packets behind hold w quanta at least
+            top = size - w * stride
+            terms = [(rows[mask ^ 1 << i][::-1], blocks[i][w]) for i in range(n) if mask >> i & 1]
+            row = [inf] * min(size - top + stride, size)
+            row += [min([min(map(add, back[size - x:top], blk)) for back, blk in terms])
+                    if x % stride <= cap else inf for x in range(size - top + stride, size)]
+        rows.append(row)
+
+    idle_of = [0.0]  # each set's idle cost, by bitmask, summed without cancellation
+    for cost_i in idle:
+        idle_of += [rest + cost_i for rest in idle_of]
+    totals = list(map(add, map(min, rows), reversed(idle_of)))
+    mask = totals.index(min(totals))
+    x = rows[mask].index(min(rows[mask]))
+    owner, quanta = [], []
+    while mask:
+        w = mask.bit_count() - 1
+        for i in range(n):
+            if mask >> i & 1:
+                sums = list(map(add, rows[mask ^ 1 << i][x - 1::-1], blocks[i][w]))
+                if rows[mask][x] in sums:
+                    break
+        d = sums.index(rows[mask][x]) + 1
+        k = d % stride or int(firsts[(d - 1) // 64][(d - 1) % 64, i, w]) + 1
+        base, extra = divmod(d // stride, k)
+        owner += [i + 1] * k
+        quanta += [base + 1] * extra + [base] * (k - extra)
+        mask, x = mask ^ 1 << i, x - d
+    alloc = DiscreteAllocation(tuple(owner), tuple(quanta))  # within the budget and cap
     return alloc, _checked_cost(bits, params, alloc, table)
 
 
 def certificate_sweep() -> Iterator[tuple[Instance, DiscreteParams]]:
-    """The oracle-sized instance grid used to certify the greedy's 2x bound.
+    """The instance grid on which ``test_c06`` certifies the greedy's 2x bound.
 
     n in {1,2,3}, B_i in {1,2,3}, slot lengths {0.5, 1}, quanta {0.5, 1} and
-    budgets of 1..6 quanta: 936 instances, all within ``ORACLE_CAPS``.
+    budgets of 1..6 quanta: 936 instances.
     """
     for n in (1, 2, 3):
         for bits in product((1.0, 2.0, 3.0), repeat=n):

@@ -471,6 +471,30 @@ def test_oracle_reports_plateau_gap_within_bound(capsys):
     assert doc["ratio"] == pytest.approx(1.2)
 
 
+def test_oracle_answers_past_the_old_caps_and_flags_the_ratio(capsys):
+    # Q = 24 quanta: the optimum gives packet 1 slot 1 with 8 quanta and
+    # packet 2 slots 2-5 with 4 quanta each; the greedy costs 2.0571 times it.
+    code, out, err = run_cli(
+        capsys, "oracle", "--bits", "4,7", "--energy", "12", "--slot-len", "1",
+        "--quantum", "0.5",
+    )
+    assert code == 3 and err == ""
+    doc = json.loads(out)
+    assert doc["oracle"]["cost"]["total"] == pytest.approx(10.780247, abs=1e-6)
+    assert doc["oracle"]["allocation"]["slots"] == (
+        [{"owner": 1, "quanta": 8}] + [{"owner": 2, "quanta": 4}] * 4)
+    assert doc["ratio"] == pytest.approx(2.057057, abs=1e-6)
+
+
+def test_oracle_above_its_work_guard_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys, "oracle", "--bits", ",".join(["3"] * 24), "--energy", "2",
+        "--slot-len", "1", "--quantum", "1",
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: the oracle needs ")
+
+
 def _check_rows(out):
     lines = out.strip().split("\n")
     assert lines[0].split() == ["property", "trials", "violations", "margin", "witness"]
@@ -666,6 +690,18 @@ def test_check_on_an_empty_ground_set_runs_no_set_trials(capsys):
     assert code == 0 and err == ""
     rows = _check_rows(out)
     assert rows["monotone"]["trials"] == rows["supermodular"]["trials"] == 0
+
+
+def test_check_with_no_slot_allowed_runs_no_set_trials(capsys):
+    # A zero slot cap leaves no cell to probe, as --ground-set 0 does.
+    code, out, err = run_cli(
+        capsys, "check", "--bits", "2", "--energy", "2", "--slot-len", "1",
+        "--quantum", "1", "--max-slots", "0",
+    )
+    assert code == 0 and err == ""
+    rows = _check_rows(out)
+    assert rows["monotone"]["trials"] == rows["supermodular"]["trials"] == 0
+    assert rows["convexity"]["trials"] > 0
 
 
 def test_check_cuts_long_witnesses(capsys):

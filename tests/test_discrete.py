@@ -1,5 +1,5 @@
 """Discrete allocation tests: cost evaluation, the greedy allocator and the
-exhaustive oracle."""
+subset-DP oracle."""
 
 import itertools
 import math
@@ -10,13 +10,12 @@ import pytest
 from edds import discrete
 from edds.model import InfeasibleError, Instance, SizeError
 from edds.discrete import (
+    MAX_ORACLE_WORK,
     MAX_QUANTA,
-    ORACLE_CAPS,
     DiscreteAllocation,
     DiscreteParams,
     TraceStep,
-    _candidates,
-    _compositions,
+    _oracle_plan,
     _packet_costs,
     _slot_bit_table,
     certificate_sweep,
@@ -225,12 +224,18 @@ def test_oracle_prefers_fewer_slots_on_ties():
 
 
 def test_oracle_size_errors():
-    with pytest.raises(SizeError):
-        oracle_allocate(Instance((1.0,) * 4, 2.0), DiscreteParams(1.0, 1.0, 2, 2))
-    with pytest.raises(SizeError):
-        oracle_allocate(Instance((1.0,), 7.0), DiscreteParams(1.0, 1.0, 7, 2))
-    with pytest.raises(SizeError):
-        oracle_allocate(Instance((1.0,), 2.0), DiscreteParams(1.0, 1.0, 2, 8))
+    # One guard on the DP's own step count, checked before any table is built.
+    assert _oracle_plan(3, 6, 6)[0] < _oracle_plan(4, 500, 500)[0] <= MAX_ORACLE_WORK
+    with pytest.raises(SizeError, match="steps, above the cap of"):
+        oracle_allocate(Instance((1.0,) * 24, 2.0), DiscreteParams(1.0, 1.0, 2, 2))
+    with pytest.raises(SizeError, match="steps, above the cap of"):
+        oracle_allocate(Instance((1.0,), 5000.0), DiscreteParams(1.0, 1.0, 5000, 5000))
+    with pytest.raises(SizeError, match="steps, above the cap of"):
+        oracle_allocate(Instance((1.0, 2.0, 3.0), 300.0), DiscreteParams(1.0, 1.0, 300, 100))
+    # four packets, seven quanta and eight slots fit the guard
+    for bits, q, s in (((1.0,) * 4, 2, 2), ((1.0,), 7, 2), ((1.0,), 2, 8)):
+        alloc, cost = oracle_allocate(Instance(bits, float(q)), DiscreteParams(1.0, 1.0, q, s))
+        assert alloc.slots <= s and sum(alloc.quanta) <= q
 
 
 def test_greedy_within_twice_oracle_spot_checks():
@@ -481,6 +486,16 @@ def test_greedy_loads_one_slot_with_the_whole_budget():
 
 def _full_scan_oracle(inst, params):
     """Reference oracle: scores every candidate with the scalar cost, in order."""
+
+    def compositions(parts, total):
+        """All tuples of `parts` positive ints summing to at most `total`."""
+        if parts == 0:
+            yield ()
+            return
+        for first in range(1, total - parts + 2):
+            for rest in compositions(parts - 1, total - first):
+                yield (first,) + rest
+
     bits = inst.bits
     table = _slot_bit_table(params, params.budget_quanta)
     best_owner = ()
@@ -488,7 +503,7 @@ def _full_scan_oracle(inst, params):
     best_total = float(sum(2.0 ** b for b in bits))  # J = 0: nothing sent
     for j in range(1, min(params.max_slots, params.budget_quanta) + 1):
         for owner in itertools.product(range(1, inst.n + 1), repeat=j):
-            for quanta in _compositions(j, params.budget_quanta):
+            for quanta in compositions(j, params.budget_quanta):
                 total = sum(_packet_costs(bits, params, owner, quanta, table))
                 if total < best_total:
                     best_owner, best_quanta, best_total = owner, quanta, total
@@ -497,12 +512,12 @@ def _full_scan_oracle(inst, params):
 
 
 def _random_oracle_inputs(count, seed):
-    """Instances inside ORACLE_CAPS: equal bits (exact and last-ulp ties),
+    """Instances of at most 3 packets, 6 quanta and 6 slots, the sizes the
+    enumeration oracle was capped at: equal bits (exact and last-ulp ties),
     Q = 0, S = 0, S below and above Q, and non-integer B, l and e."""
     rng = random.Random(seed)
-    n_cap, q_cap, s_cap = ORACLE_CAPS
     for k in range(count):
-        n = rng.randint(1, n_cap)
+        n = rng.randint(1, 3)
         kind = k % 4
         if kind == 0:  # all packets the same size
             bits = (rng.choice((1.0, 2.0, 3.0, round(rng.uniform(0.1, 12.0), 4))),) * n
@@ -515,19 +530,20 @@ def _random_oracle_inputs(count, seed):
                          for _ in range(n))
         slot_len = rng.choice((0.5, 1.0, 0.3, rng.uniform(0.05, 4.0)))
         quantum = rng.choice((0.5, 1.0, 0.7, rng.uniform(0.05, 8.0)))
-        q = rng.randint(0, q_cap)
-        s = rng.randint(0, s_cap)
+        q = rng.randint(0, 6)
+        s = rng.randint(0, 6)
         yield Instance(bits, quantum * q), DiscreteParams(slot_len, quantum, q, s)
 
 
 def test_oracle_matches_full_scan_reference():
-    # Scoring every candidate in one vector pass, then re-checking the near
-    # minimisers with the scalar cost, must return exactly the full scan's answer.
+    # The DP must reach the full scan's optimum.  Both are priced by the same
+    # _packet_costs, so the DP never reads lower; it may read a few ulps
+    # higher where its allocation sums a packet's bits in another slot order.
     shapes = set()
     for inst, params in [*certificate_sweep(), *_random_oracle_inputs(1000, seed=7)]:
-        got = oracle_allocate(inst, params)
-        want = _full_scan_oracle(inst, params)
-        assert repr(got) == repr(want), (inst, params)
+        got = oracle_allocate(inst, params)[1].total
+        want = _full_scan_oracle(inst, params)[1].total
+        assert want <= got <= want * (1 + 1e-15), (inst, params)
         q, s = params.budget_quanta, params.max_slots
         shapes.add((len(set(inst.bits)) < inst.n, q == 0, s == 0, s < q, s > q))
     # the draws reached equal bits, Q = 0, S = 0, S < Q and S > Q
@@ -535,21 +551,39 @@ def test_oracle_matches_full_scan_reference():
         assert any(shape[flag] for shape in shapes)
 
 
-def test_candidate_tables_are_consistent_and_small():
-    # The cache keeps every shape the oracle has met; all of them together
-    # must stay small, since they live as long as the process.
-    n_cap, q_cap, s_cap = ORACLE_CAPS
-    total = 0
-    for n in range(1, n_cap + 1):
-        for q in range(1, q_cap + 1):
-            for width in range(1, min(q, s_cap) + 1):
-                owner, quanta, counts, last = _candidates(n, q, width)
-                assert counts.shape == (n, len(owner), q) and last.shape == (n, len(owner))
-                for i in range(n):
-                    mine = owner == i + 1
-                    for r in range(1, q + 1):
-                        assert (counts[i, :, r - 1] == (mine & (quanta == r)).sum(1)).all()
-                    slots = mine * range(1, width + 1)
-                    assert (last[i] == slots.max(1)).all()
-                total += sum(a.nbytes for a in (owner, quanta, counts, last))
-    assert total < 1_000_000
+def test_oracle_matches_full_scan_past_the_old_caps():
+    # Four packets, and nine quanta for one packet: sizes the enumeration
+    # refused, with the slot cap at Q and below it.
+    rng = random.Random(8)
+    runs = []
+    for s in (6, 6, 4, 3):
+        bits = tuple(round(rng.uniform(0.5, 9.0), 3) for _ in range(4))
+        runs.append((Instance(bits, 6.0), DiscreteParams(rng.choice((0.5, 1.0)), 1.0, 6, s)))
+    for s in (9, 5):
+        bits = (round(rng.uniform(2.0, 12.0), 3),)
+        runs.append((Instance(bits, 4.5), DiscreteParams(0.5, 0.5, 9, s)))
+    for inst, params in runs:
+        got = oracle_allocate(inst, params)[1].total
+        want = _full_scan_oracle(inst, params)[1].total
+        assert want <= got <= want * (1 + 1e-15), (inst, params)
+
+
+@pytest.mark.parametrize("bits, energy, slot_len, quantum, optimum, ratios", [
+    ((4.0, 7.0), 12.0, 1.0, 0.5, 10.780247, (2.057057, 2.057057)),
+    # the discrete problem is not shortest-first optimal: packet 2 goes before
+    # packet 4, and the smallest packet stays idle
+    ((7.49, 12.61, 7.49, 11.92, 4.19), 15.0, 4.0, 1.0, 254.131281, (1.287845, 1.287845)),
+    ((13.59,), 17.5, 4.0, 0.25, 9.157167, (6.552538, 6.552538)),  # the greedy opens 15 slots
+    ((1.74,), 12.0, 1.0, 0.25, 1.256950, (2.657505, 1.0)),  # the default mode stops on a plateau
+    ((8.0, 13.0, 20.0, 20.0), 500.0, 1.0, 1.0, 27.574567, (6.128837, 6.128837)),  # Q = 500
+    ((8.0, 13.0, 20.0, 20.0), 125.0, 1.0, 0.25, 48.815261, (11.635706, 11.635706)),  # Q = 500
+])
+def test_oracle_pins_optima_past_the_old_caps(bits, energy, slot_len, quantum, optimum, ratios):
+    inst = Instance(bits, energy)
+    params = DiscreteParams.for_instance(inst, slot_len, quantum)
+    alloc, cost = oracle_allocate(inst, params)
+    assert cost.total == pytest.approx(optimum, abs=1e-6)
+    assert discrete_cost(inst, params, alloc).total == cost.total
+    for spend_all, ratio in zip((False, True), ratios):
+        g_cost = greedy_allocate(inst, params, spend_all)[1]
+        assert g_cost.total / cost.total == pytest.approx(ratio, abs=1e-6)

@@ -53,7 +53,7 @@ def cases(edds) -> dict:
     Instance, Order = edds.model.Instance, edds.model.Order
     DiscreteParams = edds.discrete.DiscreteParams
     greedy_allocate, oracle_allocate = edds.discrete.greedy_allocate, edds.discrete.oracle_allocate
-    plan = getattr(edds.discrete, "_oracle_plan", None)  # the DP's step bound; none before it
+    plan = edds.discrete._oracle_plan  # the DP's step bound
 
     sweep = list(edds.discrete.certificate_sweep())
     refs = {"ref1": Instance((15.0, 20.0), 50.0), "ref2": Instance((12.0, 20.0), 20.0)}
@@ -67,8 +67,8 @@ def cases(edds) -> dict:
     out = {
         "oracle-sweep": (
             lambda: [oracle_allocate(i, p) for i, p in sweep],
-            lambda _: {"instances": len(sweep), **({"dp_steps": sum(
-                plan(i.n, p.budget_quanta, p.max_slots)[0] for i, p in sweep)} if plan else {})},
+            lambda _: {"instances": len(sweep), "dp_steps": sum(
+                plan(i.n, p.budget_quanta, p.max_slots)[0] for i, p in sweep)},
         ),
     }
     for name, inst in refs.items():

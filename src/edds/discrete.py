@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import accumulate, product
 from operator import add
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import T_MIN, DomainError, InfeasibleError, Instance, SizeError, shannon_bits
+from .model import _E_SAFE, _LN2, T_MIN, DomainError, InfeasibleError, Instance, SizeError, shannon_bits
 
 # A budget of more quanta than this is refused: the greedy builds a table of
 # Q + 1 floats and takes one step per quantum, each O(log n) heap work, and
@@ -142,8 +142,11 @@ def trace_to_csv(trace: Sequence[TraceStep]) -> str:
 
 
 def _slot_bit_table(params: DiscreteParams, r_max: int) -> list[float]:
-    """table[r] = bits a slot carries when loaded with r quanta."""
-    return shannon_bits(params.quantum * np.arange(r_max + 1), params.slot_len).tolist()
+    """table[r] = bits a slot carries when loaded with r quanta, as ``shannon_bits`` gives them."""
+    energy = params.quantum * np.arange(r_max + 1)
+    if params.quantum * r_max > _E_SAFE:  # its checked form; DiscreteParams made the others
+        return shannon_bits(energy, params.slot_len).tolist()
+    return (params.slot_len * np.log1p(energy / params.slot_len) / _LN2).tolist()
 
 
 def idle_costs(bits: Sequence[float]) -> list[float]:
@@ -388,13 +391,15 @@ def greedy_allocate(
 
 
 def _oracle_plan(n: int, q: int, slots: int) -> tuple[int, int, int, int]:
-    """(steps, Q, slots tracked, stride) of ``oracle_allocate``: with S = 0 no quantum is
-    spent, slots are tracked (stride 2S + 1) only if S < Q, and steps bound its work."""
+    """(steps, Q, slots tracked, stride) of ``oracle_allocate``: S = 0 spends no quantum and
+    Q = 0 builds nothing; slots are tracked (stride 2S + 1) only if S < Q; steps bound its
+    min-plus additions plus the block costs it prices."""
     q = q if slots else 0
     cap = slots if slots < q else 0
     size = (q + 1) * (2 * cap + 1)
-    steps = n * 2 ** (n - 1) * (size + 1) * (size + 2) // 2 + n * (n + 1) * q * min(q, slots)
-    return steps, q, cap, 2 * cap + 1
+    steps = n * 2 ** (n - 1) * (size + 1) * (size + 2) // 2 + n * min(n, q) * size * (
+        1 if cap else min(q, slots))
+    return (steps if q else 0), q, cap, 2 * cap + 1
 
 
 def oracle_allocate(
@@ -409,70 +414,76 @@ def oracle_allocate(
     packets' last slots move no last slot later; (2) R quanta split evenly
     over k slots send the most bits, table[r] being concave; (3) with m
     blocks the delays sum to l * sum_p w_p k_p, weights 1..m from the back.
-    So the DP places packets from the back, the one put before m - 1 others
-    at weight m for 2**(B_i - f(R, k)) + l*m*k (f: the split's bits); idle
-    ones cost 2**B_i.  A set's row holds its least cost by x = quanta *
-    stride + slots; a block sits at offset R * stride + k, or at R with its
-    best k with no binding cap (``_oracle_plan``), so one min-plus product
-    places it.  Ties: nothing sent, then the least bitmask, fewest quanta,
-    then slots; rebuilt front to back, each block goes to the lowest-index
-    packet reaching the state, with its fewest quanta and slots, larger loads
-    first.  Raises :class:`SizeError` above ``MAX_ORACLE_WORK`` steps.
+    So the DP places packets from the back, the one put before m - 1 others at
+    weight m for 2**(B_i - f(R, k)) + l*m*k (f: the split's bits); idle ones
+    cost 2**B_i.  A set's row holds its least cost within x = quanta * stride +
+    slots (the full set's at the budget only); a block sits at offset R * stride
+    + k, or at R with its best k if no cap binds, so one min-plus product places
+    it.  Ties: nothing sent, then the least bitmask; rebuilt front to back, each
+    block goes to the lowest-index packet reaching the state, with its fewest
+    quanta, then slots, larger loads first.  SizeError above ``_oracle_plan``'s guard.
     """
     n, bits = inst.n, inst.bits
     steps, q, cap, stride = _oracle_plan(n, params.budget_quanta, params.max_slots)
     if steps > MAX_ORACLE_WORK:
         raise SizeError(f"the oracle needs {steps} steps, above the cap of {MAX_ORACLE_WORK}")
     idle = idle_costs(bits)
+    if not q:  # no quantum, or no slot, to spend
+        return DiscreteAllocation((), ()), DiscreteCost(tuple(idle), float(sum(idle)))
     table = _slot_bit_table(params, q + 1)  # load q + 1 is read only times zero
-    size, inf, kmax = (q + 1) * stride, math.inf, min(q, params.max_slots)
-    # cost[k, R - lo, i, w - 1]: packet i sending R quanta over k slots at weight w, 64
-    # budgets at a time.  Under a cap, R runs from 0 and k over 0..2S, inf off 1..S.
-    ks = range(1, kmax + 1) if stride == 1 else range(stride)
-    delay = np.multiply.outer(list(ks), params.slot_len * np.arange(1, n + 1))[:, None, None]
+    size, inf, kmax, weights = (q + 1) * stride, math.inf, min(q, params.max_slots), min(n, q)
+    # cost[i, w - 1, R, k]: packet i's R quanta over k slots at weight w (inf off 1 <= k <= R,
+    # kmax), 2**18 floats at a time: R = 1..Q, k = 1..kmax, with no binding cap; else k = 0..2S.
+    rs, ks = (range(1, q + 1), range(1, kmax + 1)) if stride == 1 else (range(q + 1), range(stride))
+    delay = [[[params.slot_len * w * k for k in ks]] for w in range(1, weights + 1)]
+    chunk = max(1, 2**18 // (n * weights * len(ks)))
     parts, firsts = [], []
-    for lo in range(stride == 1, q + 1, 64):
+    for start in range(0, len(rs), chunk):
         sent = [(k - r % k) * table[r // k] + r % k * table[r // k + 1] if 0 < k <= r and k <= kmax
-                else -inf for k in ks for r in range(lo, min(lo + 64, q + 1))]
-        cost = np.power(0.5, np.subtract.outer(sent, bits)).reshape(len(ks), -1, n, 1) + delay
-        if stride == 1:  # R's best cost, and its k - 1
-            parts.append(np.minimum.reduce(cost))
-            firsts.append(cost.argmin(0))
-        else:  # every k, at offset R * stride + k
-            parts.append(cost.transpose(1, 0, 2, 3).reshape(-1, n, n))
-    flat = np.concatenate(parts)[stride > 1:] if parts else np.empty((0, n, n))
-    blocks = flat.transpose(1, 2, 0).tolist()  # blocks[i][w - 1][offset - 1]
+                else -inf for r in rs[start:start + chunk] for k in ks]
+        cost = np.power(2.0, np.subtract.outer(bits, sent)).reshape(n, 1, -1, len(ks)) + delay
+        parts.append(np.minimum.reduce(cost, -1) if stride == 1 else cost.reshape(n, weights, -1))
+        firsts.append(cost.argmin(-1))
+    blocks = np.concatenate(parts, 2)  # blocks[i][w - 1][offset - 1], offset R * stride + k
+    blocks = (blocks if stride == 1 else blocks[..., 1:]).tolist()
+    firsts = np.concatenate(firsts, 2)
 
-    rows = [[0.0] + [inf] * (size - 1)]
-    for mask in range(1, 1 << n):
+    # rows[mask][x]: the least cost of the set's blocks, placed last, within x; backs: reversed
+    full, last = (1 << n) - 1, size - 1 - cap  # x = Q quanta, and S slots under a cap
+    rows = [[0.0 if x % stride <= cap else inf for x in range(size)]]
+    backs = [rows[0][::-1]]
+    for mask in range(1, full + 1):
         w = mask.bit_count() - 1  # the front packet's weight, less one
-        if not w or (w + 1) * stride >= size:  # a packet alone, last; or more packets than quanta
-            row = [inf] * size if w else [inf] + blocks[mask.bit_length() - 1][0]
-        else:  # the w packets behind hold w quanta at least
-            top = size - w * stride
-            terms = [(rows[mask ^ 1 << i][::-1], blocks[i][w]) for i in range(n) if mask >> i & 1]
-            row = [inf] * min(size - top + stride, size)
+        lo = (w + 1) * stride  # each packet holds a quantum
+        if lo > last:
+            row = [inf] * size
+        elif stride == 1 and not w:  # a packet alone: its least block within x
+            row = [inf, *accumulate(blocks[mask.bit_length() - 1][0], min)]
+        else:
+            terms = [(backs[mask ^ 1 << i], blocks[i][w]) for i in range(n) if mask >> i & 1]
+            top = size - w * stride  # the w packets behind hold w quanta at least
+            lo = lo if mask < full else last
+            row = [inf] * lo
             row += [min([min(map(add, back[size - x:top], blk)) for back, blk in terms])
-                    if x % stride <= cap else inf for x in range(size - top + stride, size)]
+                    if x % stride <= cap else inf for x in range(lo, size)]
         rows.append(row)
+        backs.append(row[::-1])
 
     idle_of = [0.0]  # each set's idle cost, by bitmask, summed without cancellation
     for cost_i in idle:
         idle_of += [rest + cost_i for rest in idle_of]
-    totals = list(map(add, map(min, rows), reversed(idle_of)))
-    mask = totals.index(min(totals))
-    x = rows[mask].index(min(rows[mask]))
+    totals = [row[last] + rest for row, rest in zip(rows, reversed(idle_of))]
+    mask, x = totals.index(min(totals)), last
     owner, quanta = [], []
     while mask:
         w = mask.bit_count() - 1
-        for i in range(n):
-            if mask >> i & 1:
-                sums = list(map(add, rows[mask ^ 1 << i][x - 1::-1], blocks[i][w]))
-                if rows[mask][x] in sums:
-                    break
+        for i in [j for j in range(n) if mask >> j & 1]:
+            sums = list(map(add, backs[mask ^ 1 << i][size - x:], blocks[i][w]))
+            if rows[mask][x] in sums:
+                break
         d = sums.index(rows[mask][x]) + 1
-        k = d % stride or int(firsts[(d - 1) // 64][(d - 1) % 64, i, w]) + 1
-        base, extra = divmod(d // stride, k)
+        r, k = divmod(d, stride) if stride > 1 else (d, int(firsts[i, w, d - 1]) + 1)
+        base, extra = divmod(r, k)
         owner += [i + 1] * k
         quanta += [base + 1] * extra + [base] * (k - extra)
         mask, x = mask ^ 1 << i, x - d

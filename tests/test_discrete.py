@@ -5,10 +5,11 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from edds import discrete
-from edds.model import InfeasibleError, Instance, SizeError
+from edds.model import InfeasibleError, Instance, SizeError, shannon_bits
 from edds.discrete import (
     MAX_ORACLE_WORK,
     MAX_QUANTA,
@@ -236,6 +237,23 @@ def test_oracle_size_errors():
     for bits, q, s in (((1.0,) * 4, 2, 2), ((1.0,), 7, 2), ((1.0,), 2, 8)):
         alloc, cost = oracle_allocate(Instance(bits, float(q)), DiscreteParams(1.0, 1.0, q, s))
         assert alloc.slots <= s and sum(alloc.quanta) <= q
+    # with no quantum or no slot to spend nothing is built, for any packet count
+    for q, s in ((0, 0), (0, 5), (5, 0)):
+        alloc, cost = oracle_allocate(Instance((1.0,) * 40, float(q)), DiscreteParams(1.0, 1.0, q, s))
+        assert alloc.slots == 0 and cost.total == 80.0
+
+
+def test_slot_bit_table_matches_shannon_bits():
+    # The table skips shannon_bits' domain checks but must keep its floats,
+    # the checked form included (loads whose energy passes _E_SAFE).
+    rng = random.Random(3)
+    grid = [(0.5, 1.0), (1.0, 0.5), (1e-6, 1e-3), (4.0, 1e303), (2.0, 1e305)]
+    grid += [(rng.uniform(1e-6, 8.0), rng.uniform(1e-3, 8.0)) for _ in range(40)]
+    for slot_len, quantum in grid:
+        params = DiscreteParams(slot_len, quantum, 0, 0)
+        for r_max in (0, 1, 7, 300):
+            want = shannon_bits(quantum * np.arange(r_max + 1), slot_len).tolist()
+            assert _slot_bit_table(params, r_max) == want, (slot_len, quantum, r_max)
 
 
 def test_greedy_within_twice_oracle_spot_checks():

@@ -78,9 +78,11 @@ def cases(edds) -> dict:
             lambda rep: {"trials": rep.trials},
         )
     # Random sizes of 1 to 25 bits, l = 0.5, e = 1; the name without a suffix
-    # runs spend_all, "-stop" the default mode.
+    # runs spend_all, "-stop" the default mode.  q100000 is the greedy at scale:
+    # a tenth of MAX_QUANTA.
     for name, n, q, spend_all in (
         ("greedy-n64-q4000", 64, 4000, True),
+        ("greedy-n64-q100000", 64, 100000, True),
         ("greedy-n256-q5000", 256, 5000, True),
         ("greedy-n256-q5000-stop", 256, 5000, False),
     ):

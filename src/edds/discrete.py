@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import accumulate, product
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from .model import _E_SAFE, _LN2, T_MIN, DomainError, InfeasibleError, Instance,
 # A budget of more quanta than this is refused: the greedy builds a table of
 # Q + 1 floats and takes one step per quantum, each O(log n) heap work, and
 # keeps one trace row per step.  At the cap, n = 64 with ``spend_all`` takes
-# about 7.4 s and 195 MB above the starting RSS (2-vCPU x86-64, Python 3.11).
+# about 5.1 s and 207 MB above the starting RSS (2-vCPU x86-64, Python 3.11),
+# nearly all of it the trace, whose rows are 5-tuples with their own int and float.
 MAX_QUANTA = 1_000_000
 # The oracle's cap on its steps (``_oracle_plan``): up to about 2 s and 50 MB.
 MAX_ORACLE_WORK = 10_000_000
@@ -121,10 +122,25 @@ class DiscreteCost:
         return {"per_packet": list(self.per_packet), "total": self.total}
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
-    """One committed greedy move."""
+class _TraceFields(NamedTuple):
+    iteration: int
+    action: str
+    slot: int
+    packet: int
+    total_cost: float
 
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class TraceStep(_TraceFields):
+    """One committed greedy move.
+
+    A tuple underneath, so the greedy builds one with a single
+    ``tuple.__new__``; still a frozen dataclass without a ``__dict__``, whose
+    repr, equality and hash are the tuple's, field by field (so a step also
+    equals the plain tuple of its fields).
+    """
+
+    __slots__ = ()
     iteration: int
     action: str  # "open" (new slot) or "add" (one more quantum)
     slot: int
@@ -272,9 +288,14 @@ def greedy_allocate(
     packet, version) and its open as (fl(open_pow - per[i]), packet,
     version), the common D added when the heap is read; an open wins only
     if its key plus D lies strictly below the best add's.  Only the packet
-    that moved is re-scored; its old entries go stale, and a heap holding
-    more than 2n + 16 entries is rebuilt from its live ones, so a round
-    costs O(log n), amortized.
+    that moved is re-scored.  The winning move's entry tops its heap, so one
+    ``heapreplace`` swaps it for the packet's new entry of that kind (none
+    is needed once a slot holds the whole budget: the loop ends).  In the
+    other heap the new entry is pushed and the old one goes stale: stale
+    tops are popped as the loop reads the heap, and a heap holding more
+    than 2n + 16 entries is rebuilt from its live ones, so a round costs
+    O(log n), amortized.  Only an open thus grows the add heap, and only an
+    add the open heap.
 
     Guarantees, in both modes (the acceptance gate re-derives each one
     through ``discrete_cost``):
@@ -327,6 +348,7 @@ def greedy_allocate(
     ver = [0] * n
     cap = 2 * n + 16
     trace: list[TraceStep] = []
+    append, new_step = trace.append, tuple.__new__
     spent = 0
     while spent < budget:
         while add_heap and add_heap[0][3] != ver[add_heap[0][2]]:
@@ -368,21 +390,29 @@ def greedy_allocate(
         per[i] = new_d
         total = new_total
         spent += 1
-        trace.append(TraceStep(spent, action, j, i + 1, total))
-        # Re-score packet i; its old entries go stale.
+        append(new_step(TraceStep, (spent, action, j, i + 1, total)))
+        # Re-score packet i: its entry atop the winning heap is replaced, its
+        # entry in the other heap goes stale.
         v = ver[i] = ver[i] + 1
         head = bits[i] - sent[i]
         j = mine[low[i]]
         r = quanta[j - 1]
         if r < budget:  # table ends at r = budget, which ends the loop
             add_pow[i] = a = 2.0 ** (head - table[r + 1] + table[r])
-            heappush(add_heap, (a - 2.0 ** head, j, i, v))
-            if len(add_heap) > cap:
-                _drop_stale(add_heap, ver)
+            entry = (a - 2.0 ** head, j, i, v)
+            if action == "add":
+                heapreplace(add_heap, entry)
+            else:
+                heappush(add_heap, entry)
+                if len(add_heap) > cap:
+                    _drop_stale(add_heap, ver)
         open_pow[i] = o = 2.0 ** (head - table[1])
-        heappush(open_heap, (o - new_d, i, v))
-        if len(open_heap) > cap:
-            _drop_stale(open_heap, ver)
+        if action == "open":
+            heapreplace(open_heap, (o - new_d, i, v))
+        else:
+            heappush(open_heap, (o - new_d, i, v))
+            if len(open_heap) > cap:
+                _drop_stale(open_heap, ver)
 
     # Owners, the slot cap and the budget hold by construction, and
     # idle_costs has checked the bits.

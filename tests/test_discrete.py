@@ -1,8 +1,10 @@
 """Discrete allocation tests: cost evaluation, the greedy allocator and the
 subset-DP oracle."""
 
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -328,6 +330,22 @@ def test_trace_step_is_slotted_and_unchanged():
     )
 
 
+def test_trace_step_is_a_dataclass_that_replaces_and_pickles():
+    step = TraceStep(3, "add", 2, 1, 0.1 + 0.2)
+    assert dataclasses.is_dataclass(step)
+    assert [f.name for f in dataclasses.fields(step)] == [
+        "iteration", "action", "slot", "packet", "total_cost"]
+    moved = dataclasses.replace(step, total_cost=1.5)
+    assert type(moved) is TraceStep
+    assert moved == TraceStep(3, "add", 2, 1, 1.5)
+    back = pickle.loads(pickle.dumps(step))
+    assert type(back) is TraceStep and back == step
+    # the greedy's own steps are the same record
+    _, _, trace = greedy_allocate(Instance((2.0,), 2.0), DiscreteParams(1.0, 1.0, 2, 2))
+    assert type(trace[0]) is TraceStep
+    assert dataclasses.replace(trace[0], iteration=7) == TraceStep(7, *trace[0][1:])
+
+
 def test_certificate_sweep_shape():
     pairs = list(certificate_sweep())
     assert len(pairs) == 936
@@ -434,8 +452,8 @@ def _tie_runs(seed):
 
 def test_greedy_matches_full_scan_reference(monkeypatch):
     # One add per packet, at its first least-loaded slot, and two heaps must
-    # pick exactly the full scan's move.  The last run rebuilds its add heap
-    # from the live entries once and its open heap twice, in both modes.
+    # pick exactly the full scan's move.  The last run rebuilds each heap
+    # from its live entries once, in both modes.
     rebuilt = []
     real = discrete._drop_stale
 
@@ -453,6 +471,7 @@ def test_greedy_matches_full_scan_reference(monkeypatch):
             want = _full_scan_greedy(inst, params, spend_all)
             assert repr(got) == repr(want), (inst.n, params, spend_all)
     assert 4 in rebuilt  # an add entry is (key, slot, packet, version)
+    assert 3 in rebuilt  # an open entry is (key, packet, version)
 
 
 def test_greedy_near_set_matches_full_scan_reference():
@@ -605,3 +624,43 @@ def test_oracle_pins_optima_past_the_old_caps(bits, energy, slot_len, quantum, o
     for spend_all, ratio in zip((False, True), ratios):
         g_cost = greedy_allocate(inst, params, spend_all)[1]
         assert g_cost.total / cost.total == pytest.approx(ratio, abs=1e-6)
+
+
+# The continuous SPF solve of bench/run.py's greedy-n64-q4000, rounded: each
+# packet's R = floor(E_i / e) quanta over k = clamp(round(t_i / l), 1, R)
+# slots; k = R = 0 marks a packet left idle.
+_N64_Q4000_PLAN = (
+    (1, 2, 52), (2, 8, 82), (3, 2, 64), (4, 6, 93), (5, 4, 92), (6, 2, 60), (7, 5, 100),
+    (8, 0, 0), (9, 9, 79), (10, 0, 0), (11, 4, 84), (12, 2, 51), (13, 5, 95), (14, 13, 63),
+    (15, 7, 88), (16, 5, 98), (17, 0, 0), (18, 7, 85), (19, 6, 92), (20, 0, 0), (21, 3, 86),
+    (22, 12, 68), (23, 1, 20), (24, 7, 90), (25, 3, 75), (26, 1, 5), (27, 1, 24), (28, 0, 0),
+    (29, 0, 0), (30, 8, 82), (31, 2, 49), (32, 6, 92), (33, 3, 72), (34, 1, 23), (35, 10, 73),
+    (36, 9, 81), (37, 5, 97), (38, 4, 85), (39, 1, 24), (40, 7, 87), (41, 1, 22), (42, 4, 86),
+    (43, 3, 81), (44, 11, 70), (45, 4, 91), (46, 5, 97), (47, 15, 59), (48, 4, 92), (49, 4, 85),
+    (50, 17, 51), (51, 5, 96), (52, 6, 94), (53, 21, 42), (54, 1, 35), (55, 1, 9), (56, 0, 0),
+    (57, 1, 15), (58, 3, 74), (59, 7, 83), (60, 6, 95), (61, 4, 86), (62, 10, 77), (63, 6, 95),
+    (64, 1, 26),
+)
+
+
+def test_greedy_exceeds_twice_a_rounded_plan_at_n64():
+    # A feasible allocation costs 3353.75, and the greedy 4.66 times that in
+    # both modes: the 2x certificate fails on the benchmark's own instance.
+    rng = np.random.default_rng([64, 4000])
+    inst = Instance(tuple(rng.uniform(1.0, 25.0, 64).tolist()), 4000.0)
+    params = DiscreteParams(0.5, 1.0, 4000, 4000)
+    assert [row[0] for row in _N64_Q4000_PLAN] == list(range(1, 65))
+    owner, quanta = [], []
+    for p, k, r in sorted((row for row in _N64_Q4000_PLAN if row[1]), key=lambda row: row[1]):
+        base, extra = divmod(r, k)  # an even split, the larger loads first
+        owner += [p] * k
+        quanta += [base + 1] * extra + [base] * (k - extra)
+    alloc = DiscreteAllocation(tuple(owner), tuple(quanta))
+    assert (alloc.slots, sum(quanta)) == (311, 3972)
+    cost = discrete_cost(inst, params, alloc).total  # raises if infeasible
+    assert cost == pytest.approx(3353.7455545, rel=1e-9)
+    for spend_all in (False, True):
+        g_cost = greedy_allocate(inst, params, spend_all)[1].total
+        assert g_cost == pytest.approx(15633.273134, rel=1e-9)
+        assert g_cost > 2 * cost
+        assert g_cost / cost == pytest.approx(4.661437, abs=1e-6)

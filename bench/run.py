@@ -126,7 +126,8 @@ def cases(edds) -> dict:
     for name, inst in (("brute-n3", search_inst), ("brute-n7", brute_inst)):
         out[name] = (
             lambda inst=inst: edds.order.brute_force_order(inst),
-            lambda _, inst=inst: {"orders": math.factorial(inst.n)},
+            lambda res, inst=inst: {"orders": math.factorial(inst.n),
+                                    "multiplier_steps": res[1].iterations},
         )
     return out
 

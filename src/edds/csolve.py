@@ -29,7 +29,9 @@ E from above: the relative duality gap (P - g) / P certifies it at any scale.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +55,7 @@ _LAM_MAX = math.log(np.finfo(float).max)
 _SNR_STEPS = 4  # Newton steps in _snr: 3e-14 relative for any ln c
 _ROOT_TOL = 1e-14  # |ln(spent / budget)| at which the root find stops
 GAP_TOL = 1e-12  # relative duality gap that certifies an answer
-_MAX_STEPS = 200_000  # multiplier steps before a root find gives up; 7-13 certify
+_MAX_STEPS = 200_000  # multiplier steps before a root find gives up; 4-5 typically certify
 
 
 @dataclass(frozen=True)
@@ -205,17 +207,78 @@ def _packets(lam, bits, log_a):
     return e, t, de
 
 
+def _start(bits, a_bar, budget, lo, hi):
+    """The multiplier at which a one-SNR model of the instance spends the
+    budget, or ``max(lo, hi - 1)`` where that is not strictly inside (lo, hi).
+
+    The model gives every packet the delay weight ``a_bar`` and so one SNR u:
+    lam(u) = ln a_bar - u - ln w(u), w = u + expm1(-u), by ``_snr``'s F, and
+    spent(u) = expm1(u)/u * sum_i max(B_i ln 2 - s, 0) with s = lam + u =
+    ln a_bar - ln w, which rises with u.  Safeguarded Newton on
+    ln spent(u) = ln E over v = ln u in (-360, 7) solves it in Python floats
+    and logs, so nothing overflows; one bisect into the sorted B_i ln 2 finds
+    the packets with B_i ln 2 > s.  For one packet the model is the problem,
+    but for the t_min boundary, which it leaves out.
+    """
+    fallback = max(lo, hi - 1.0)
+    if math.nextafter(lo, hi) == hi:  # no float lies strictly inside
+        return fallback
+    ks = (np.sort(bits) * _LN2).tolist()
+    tails = list(accumulate(reversed(ks)))  # tails[m - 1]: the m largest summed
+    n, log_a, log_budget = len(ks), math.log(a_bar), math.log(budget)
+    v_lo, v_hi, v = -360.0, 7.0, 0.0  # u from 4e-157, where s > _LAM_MAX, to 1100
+    for _ in range(60):  # Newton takes 4-19 steps; bisection alone would need 40
+        u = math.exp(v)
+        rise = -math.expm1(-u)  # 1 - e**-u
+        if u < 1e-2:  # w cancels: w = u**2 w2, w2 from its Taylor series
+            w2 = 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720)))
+            w, log_w = u * u * w2, 2.0 * v + math.log(w2)
+            log_r, dlog_r = math.log(math.expm1(u) / u), 0.5 + u / 12
+        else:
+            w = u - rise
+            log_w = math.log(w)
+            log_r, dlog_r = u + math.log(rise) - v, 1.0 / rise - 1.0 / u
+        s = log_a - log_w
+        m = n - bisect_right(ks, s)
+        active = tails[m - 1] - m * s if m else 0.0
+        if not active > 0.0:  # no packet spends: u is too small
+            v_lo, nxt = v, 0.5 * (v + v_hi)
+        else:
+            g = log_r + math.log(active) - log_budget
+            if g <= 0.0:
+                v_lo = v
+            else:
+                v_hi = v
+            step = g / (u * dlog_r + m * rise * u / (w * active))
+            # 1e-9 of the budget, or v at its rounding; lam is taken at
+            # v - step, linearly, as dlam/dv = -u (1 + rise / w)
+            if abs(g) <= 1e-9 or abs(step) <= 1e-12:
+                lam = s - u + step * u * (1.0 + rise / w)
+                return lam if lo < lam < hi else fallback
+            nxt = v - step
+            if not v_lo < nxt < v_hi:
+                nxt = 0.5 * (v_lo + v_hi)
+        v = nxt
+    return fallback
+
+
 def _dual_solve(bits, a, budget):
     """Newton on g = ln(sum E(lam) / budget), then on sum E itself, then
     bisection, each kept inside the bracket [lo, hi].  At lo the largest
     packet alone spends the budget, whether its time is below 1 or not, and
-    lo is at least one float64 step below hi, where no packet spends.
+    lo is at least one float64 step below hi, where no packet spends.  The
+    root find starts where ``_start``'s one-SNR model, at the mean delay
+    weight, spends the budget: 0.2-0.7 from the root on random instances with
+    n from 4 to 256, and on it for one packet, where B_max ln 2 - 1 was 15-18
+    from it.  That takes 4-5 steps where that start took 7-9.
 
     ``a`` holds one row of delay weights per order, and every row runs this
     root find on its own: its own bracket, its own kind of step, and its own
     stop, after which it is frozen.  Each step batches the rows still
-    running.  Every operation is elementwise or a row sum, so a row's answer
-    is bit for bit the one it gets alone.  Returns each row's last lam, its
+    running.  Every row holds the same integer weights 1..n in some order, so
+    their mean, and with it the start, is exact and the same for every row.
+    Every operation is elementwise or a row sum, so a row's answer is bit for
+    bit the one it gets alone.  Returns each row's last lam, its
     energies and times, their sum and the steps taken, at most ``_MAX_STEPS``.
     """
     hi0 = min(float(bits.max()) * _LN2, _LAM_MAX)
@@ -227,7 +290,7 @@ def _dual_solve(bits, a, budget):
     e, t = np.empty(a.shape), np.empty(a.shape)
     rows = np.arange(k)  # the rows still running; x, lo, hi and log_a are theirs
     lo, hi = np.full(k, lo0), np.full(k, hi0)
-    x = np.full(k, max(lo0, hi0 - 1.0))
+    x = np.full(k, _start(bits, float(a[0].mean()), budget, lo0, hi0))
     with np.errstate(all="ignore"):
         for it in range(1, _MAX_STEPS + 1):
             er, tr, de = _packets(x[:, None], bits, log_a)
@@ -279,7 +342,7 @@ def _solve_orders(inst: Instance, a: np.ndarray) -> _Roots:
     budget = inst.energy
     lam, raw, t, spent, iters = _dual_solve(bits, a, budget)
     with np.errstate(invalid="ignore"):  # nan where t or the sum overflowed
-        e = raw * (budget / spent)[:, None]
+        e = raw / spent[:, None] * budget  # one packet spends exactly the budget
         lost = np.logaddexp2.accumulate(bits - shannon_bits(e, t), axis=1)
     return _Roots(lam, raw, t, spent, iters, e, lost)
 

@@ -7,6 +7,7 @@ closed stdout.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -83,12 +84,17 @@ def test_solve_tiny_budget_is_certified(capsys, bits, energy):
     assert sum(doc["alloc"]["energies"]) == pytest.approx(float(energy), rel=1e-12)
 
 
-@pytest.mark.parametrize("energy", ["1e307", "1.7e308"])
-def test_solve_huge_budget_writes_finite_strict_json(energy):
+@pytest.mark.parametrize("bits,energy,bhat", [
+    pytest.param("5", "1e307", (14.0, 15.0), id="1e307"),
+    pytest.param("5", "1.7e308", (14.0, 15.0), id="1.7e308"),
+    # exits 2 after 12 steps with gap 1.1e-4 (20 steps and 1.4e-4 from B_max ln 2 - 1)
+    pytest.param(",".join(["1"] * 300), "1e308", (2.0, 11.0), id="300x1-1e308"),
+])
+def test_solve_huge_budget_writes_finite_strict_json(bits, energy, bhat):
     # e / t overflowed float64 at these budgets: stderr carried NumPy's
     # RuntimeWarning and stdout "bhat": [Infinity], which is not JSON.  A
     # fresh process shows the warning as a user would see it.
-    argv = ["solve", "--bits", "5", "--energy", energy]
+    argv = ["solve", "--bits", bits, "--energy", energy]
     child = subprocess.run([sys.executable, "-m", "edds.cli", *argv],
                            capture_output=True, text=True, env=_child_env(), timeout=60)
     lines = child.stderr.splitlines()
@@ -99,8 +105,11 @@ def test_solve_huge_budget_writes_finite_strict_json(energy):
         raise ValueError(f"{constant} is not JSON")
 
     doc = json.loads(child.stdout, parse_constant=refuse)
-    assert 14.0 < doc["cost"]["bhat"][0] < 15.0
-    assert doc["alloc"]["energies"] == [float(energy)]
+    assert all(bhat[0] < b < bhat[1] for b in doc["cost"]["bhat"])
+    energies = doc["alloc"]["energies"]
+    assert math.fsum(energies) == pytest.approx(float(energy), rel=1e-12)
+    if len(energies) == 1:  # one packet takes the whole budget, exactly
+        assert energies == [float(energy)]
 
 
 @pytest.mark.parametrize(
@@ -226,9 +235,11 @@ def test_exit_2_says_why_on_stderr(capsys, monkeypatch):
     assert code == 2
     assert len(out.splitlines()) == 4  # the CSV is written all the same
     assert err.count("\n") == 1 and err.startswith("warning: 3 of 3 points did not converge")
+    # A one-packet tail solve starts at its root unless the budget is so
+    # small that its time sits on t_min, which the start does not model.
     code, out, err = run_cli(
-        capsys, "sweep", "--bits", "6,9", "--energy", "12", "--surface",
-        "--grid-e", "0:12:6", "--grid-t", "1:2:1",
+        capsys, "sweep", "--bits", "6,9", "--energy", "2e-8", "--surface",
+        "--grid-e", "0:2e-8:1e-8", "--grid-t", "1:2:1",
     )
     assert code == 2
     # the last column leaves packet 2 no energy and no tail solve

@@ -54,6 +54,10 @@ _LN2 = math.log(2.0)
 _LAM_MAX = math.log(np.finfo(float).max)
 _SNR_STEPS = 4  # Newton steps in _snr: 3e-14 relative for any ln c
 _ROOT_TOL = 1e-14  # |ln(spent / budget)| at which the root find stops
+# ... or where its Newton step is within a few ulps of max(|lam|, B_max ln 2):
+# k = B ln 2 - lam rounds at that scale, so no closer lam can be told apart,
+# and where times are small that rounding holds the residual above _ROOT_TOL.
+_STEP_TOL = 4 * 2.0**-52
 GAP_TOL = 1e-12  # relative duality gap that certifies an answer
 _MAX_STEPS = 200_000  # multiplier steps before a root find gives up; 4-5 typically certify
 
@@ -161,6 +165,12 @@ def project_budget(vec: np.ndarray, budget: float) -> np.ndarray:
 # The dual solve.
 
 
+def _w2(u):
+    """w / u**2, w = u + expm1(-u), from its Taylor series: for u < 1e-2,
+    where the sum in w cancels.  Takes a float or an array."""
+    return 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720)))
+
+
 def _snr(log_c):
     """u = ln(1 + x) solving e**u (u - 1) + 1 = c, given ln c.
 
@@ -179,7 +189,7 @@ def _snr(log_c):
         log_w = np.log(w)
         if np.fmin.reduce(u, axis=None) < 1e-2:  # fmin skips nan, as any() would
             small = u < 1e-2
-            w2 = 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720)))
+            w2 = _w2(u)
             log_w = np.where(small, 2.0 * np.log(u) + np.log(w2), log_w)
             du = np.where(small, u * w2, du)
         last = u
@@ -221,8 +231,6 @@ def _start(bits, a_bar, budget, lo, hi):
     but for the t_min boundary, which it leaves out.
     """
     fallback = max(lo, hi - 1.0)
-    if math.nextafter(lo, hi) == hi:  # no float lies strictly inside
-        return fallback
     ks = (np.sort(bits) * _LN2).tolist()
     tails = list(accumulate(reversed(ks)))  # tails[m - 1]: the m largest summed
     n, log_a, log_budget = len(ks), math.log(a_bar), math.log(budget)
@@ -230,13 +238,13 @@ def _start(bits, a_bar, budget, lo, hi):
     for _ in range(60):  # Newton takes 4-19 steps; bisection alone would need 40
         u = math.exp(v)
         rise = -math.expm1(-u)  # 1 - e**-u
-        if u < 1e-2:  # w cancels: w = u**2 w2, w2 from its Taylor series
-            w2 = 0.5 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u / 720)))
-            w, log_w = u * u * w2, 2.0 * v + math.log(w2)
+        if u < 1e-2:  # w = u**2 w2 cancels, and is subnormal at v near -360
+            w2 = _w2(u)
+            log_w, rise_u_w = 2.0 * v + math.log(w2), rise / (u * w2)
             log_r, dlog_r = math.log(math.expm1(u) / u), 0.5 + u / 12
         else:
             w = u - rise
-            log_w = math.log(w)
+            log_w, rise_u_w = math.log(w), rise * u / w
             log_r, dlog_r = u + math.log(rise) - v, 1.0 / rise - 1.0 / u
         s = log_a - log_w
         m = n - bisect_right(ks, s)
@@ -249,11 +257,11 @@ def _start(bits, a_bar, budget, lo, hi):
                 v_lo = v
             else:
                 v_hi = v
-            step = g / (u * dlog_r + m * rise * u / (w * active))
+            step = g / (u * dlog_r + m * rise_u_w / active)
             # 1e-9 of the budget, or v at its rounding; lam is taken at
-            # v - step, linearly, as dlam/dv = -u (1 + rise / w)
+            # v - step, linearly, as dlam/dv = -(u + rise u / w)
             if abs(g) <= 1e-9 or abs(step) <= 1e-12:
-                lam = s - u + step * u * (1.0 + rise / w)
+                lam = s - u + step * (u + rise_u_w)
                 return lam if lo < lam < hi else fallback
             nxt = v - step
             if not v_lo < nxt < v_hi:
@@ -270,7 +278,9 @@ def _dual_solve(bits, a, budget):
     root find starts where ``_start``'s one-SNR model, at the mean delay
     weight, spends the budget: 0.2-0.7 from the root on random instances with
     n from 4 to 256, and on it for one packet, where B_max ln 2 - 1 was 15-18
-    from it.  That takes 4-5 steps where that start took 7-9.
+    from it.  That takes 4-5 steps where that start took 7-9.  A row stops
+    where its residual is within ``_ROOT_TOL`` or its Newton step within
+    ``_STEP_TOL`` of max(|lam|, B_max ln 2), taking |lam| at the start.
 
     ``a`` holds one row of delay weights per order, and every row runs this
     root find on its own: its own bracket, its own kind of step, and its own
@@ -290,7 +300,9 @@ def _dual_solve(bits, a, budget):
     e, t = np.empty(a.shape), np.empty(a.shape)
     rows = np.arange(k)  # the rows still running; x, lo, hi and log_a are theirs
     lo, hi = np.full(k, lo0), np.full(k, hi0)
-    x = np.full(k, _start(bits, float(a[0].mean()), budget, lo0, hi0))
+    x0 = _start(bits, float(a[0].mean()), budget, lo0, hi0)
+    step_floor = _STEP_TOL * max(hi0, abs(x0))  # lam moves little from x0
+    x = np.full(k, x0)
     with np.errstate(all="ignore"):
         for it in range(1, _MAX_STEPS + 1):
             er, tr, de = _packets(x[:, None], bits, log_a)
@@ -298,8 +310,9 @@ def _dual_solve(bits, a, budget):
             g = np.log(s) - log_budget
             down = g <= 0.0  # nan: sum overflowed
             lo, hi = np.where(down, lo, x), np.where(down, x, hi)
-            nxt = x - g * s / ds
-            stop = (np.abs(g) <= _ROOT_TOL) | (nxt == x)
+            step = g * s / ds
+            nxt = x - step
+            stop = (np.abs(g) <= _ROOT_TOL) | (np.abs(step) <= step_floor)
             inside = (lo < nxt) & (nxt < hi)
             if not inside.all():  # near lam_hi sum E is nearly linear in lam
                 nxt = np.where(inside, nxt, x - (s - budget) / ds)

@@ -405,11 +405,10 @@ def test_iterations_flat_in_n():
                 assert report.converged
                 steps.append(report.iterations)
         assert np.mean(steps) <= 5.2 and max(steps) <= 6, (n, np.mean(steps), max(steps))
-    # For one packet the model is the problem.  Packets of about 1 to 1.6
-    # bits are left out: at budgets below 1e-2 B their times near 1e-4 put the
-    # rounding of the residual above _ROOT_TOL, so the root find stops only
-    # once its bracket closes, after 3-10 steps from the model's start.
-    for bits in (3.0, 17.0, 300.0, 1000.0):
+    # For one packet the model is the problem.  At 1 to 1.6 bits on budgets
+    # below 1e-2 B, times near 1e-4 put the residual's rounding above
+    # _ROOT_TOL; the root find stops there on a step below _STEP_TOL.
+    for bits in (0.5, 1.0, 1.3, 1.6, 2.0, 3.0, 17.0, 300.0, 1000.0):
         for scale in np.logspace(-4.0, 6.0, 41):
             report = solve_fixed_order(Instance((bits,), scale * bits), Order((1,)))
             assert report.converged and report.iterations <= 2, (bits, scale, report.iterations)
@@ -435,6 +434,27 @@ def test_model_start_lies_inside_the_bracket(monkeypatch, energy):
     assert len(seen) == 15
     for lo, x, hi in seen:
         assert lo < x < hi or x == lo == math.nextafter(hi, -math.inf), (lo, x, hi)
+
+
+@pytest.mark.parametrize("energy", [5e-324, 1e-300, 1e-19, 1e-16, 1e-12])
+def test_model_start_survives_a_subnormal_w(monkeypatch, energy):
+    # One packet of more than 1024 bits on a tiny budget drives the model's
+    # Newton to v near -360, where w = u**2 w2 is subnormal and, times the
+    # active bits' excess, rounds to 0.  The model's root lies above the
+    # bracket's top, _LAM_MAX, so the start is the fallback.
+    seen = []
+
+    def spy(bits, a_bar, budget, lo, hi, start=csolve._start):
+        seen.append((lo, start(bits, a_bar, budget, lo, hi), hi))
+        return seen[-1][1]
+
+    monkeypatch.setattr(csolve, "_start", spy)
+    a = delay_coefficients(Order.identity(1))[None]
+    for bits in np.linspace(1032.0, 1040.0, 17):
+        csolve._dual_solve(np.array([bits]), a, energy)
+    assert len(seen) == 17
+    for lo, x, hi in seen:
+        assert hi == csolve._LAM_MAX and x == max(lo, hi - 1.0), (lo, x, hi)
 
 
 def test_zero_energy_packet_sits_on_its_boundary():

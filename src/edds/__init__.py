@@ -31,12 +31,7 @@ from .csolve import (
     project_budget,
     solve_fixed_order,
 )
-from .order import (
-    AgreementStats,
-    brute_force_order,
-    spf_agreement_experiment,
-    spf_order,
-)
+from .order import brute_force_order, spf_order
 from .discrete import (
     DiscreteAllocation,
     DiscreteCost,
@@ -79,9 +74,7 @@ __all__ = [
     "hessian_block",
     "project_budget",
     "solve_fixed_order",
-    "AgreementStats",
     "brute_force_order",
-    "spf_agreement_experiment",
     "spf_order",
     "DiscreteAllocation",
     "DiscreteCost",

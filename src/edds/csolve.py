@@ -37,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
+    _LN2,
     T_MIN,
     ContinuousAllocation,
     CostBreakdown,
@@ -48,7 +49,6 @@ from .model import (
     shannon_bits,
 )
 
-_LN2 = math.log(2.0)
 # Above lam = ln(max float) every energised packet's D_i = e**(lam + u_i)
 # overflows, so the root find never looks there.
 _LAM_MAX = math.log(np.finfo(float).max)

@@ -85,8 +85,12 @@ class DiscreteAllocation:
     quanta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "owner", tuple(map(int, self.owner)))
-        object.__setattr__(self, "quanta", tuple(map(int, self.quanta)))
+        given = (tuple(self.owner), tuple(self.quanta))
+        owner, quanta = tuple(map(int, given[0])), tuple(map(int, given[1]))
+        if (owner, quanta) != given:
+            raise ValueError("owners and quanta must be integers")
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "quanta", quanta)
         if len(self.owner) != len(self.quanta):
             raise ValueError("owner and quanta must have matching lengths")
         if min(self.owner, default=1) < 1:

@@ -115,8 +115,12 @@ class Order:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", tuple(int(p) for p in self.perm))
-        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
+        given = tuple(self.perm)
+        perm = tuple(map(int, given))
+        if perm != given:
+            raise ValueError("perm entries must be integers")
+        object.__setattr__(self, "perm", perm)
+        if sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError("perm must be a permutation of 1..n")
 
     @property

@@ -23,7 +23,7 @@ from edds.discrete import (
     oracle_allocate,
 )
 from edds.model import Instance, Order
-from edds.order import spf_agreement_experiment, spf_order
+from edds.order import brute_force_order, spf_order
 from edds.verify import check_convexity, check_supermodular, di_as_set_function
 
 from test_csolve import fd_gradient, random_interior_point
@@ -329,22 +329,30 @@ def test_c08_supermodularity_distortion_only():
     )
 
 
-def test_c09_spf_experiment(tmp_path):
-    stats2 = spf_agreement_experiment(200, rng_seed=7, n=2)
-    stats3 = spf_agreement_experiment(100, rng_seed=8, n=3)
-    for stats, name in ((stats2, "spf_n2"), (stats3, "spf_n3")):
-        (tmp_path / f"{name}.csv").write_text(stats.to_csv())
-        (tmp_path / f"{name}.json").write_text(json.dumps(stats.to_doc(), indent=2))
-    produced = all(
-        (tmp_path / f).stat().st_size > 0
-        for f in ("spf_n2.csv", "spf_n2.json", "spf_n3.csv", "spf_n3.json")
-    )
+def test_c09_spf_experiment():
+    # SPF is optimal (the order module's Lagrangian proof), so on every seeded
+    # instance its converged solve ties brute force's best within TOL_MATCH,
+    # relative.  B_i ~ U[1, 25] bits and E ~ U[0.5, 4] x sum B.
+    agree, worst, unconverged = {}, 0.0, 0
+    for seed, n, count in ((7, 2, 200), (8, 3, 100)):
+        rng = np.random.default_rng(seed)
+        agree[n] = 0
+        for _ in range(count):
+            bits = rng.uniform(1.0, 25.0, n)
+            total = float(bits.sum())
+            inst = Instance(tuple(bits), float(rng.uniform(0.5 * total, 4.0 * total)))
+            spf = solve_fixed_order(inst, spf_order(inst))
+            _, best = brute_force_order(inst)
+            gap = abs(spf.cost.total - best.cost.total) / best.cost.total
+            unconverged += not spf.converged
+            agree[n] += gap <= TOL_MATCH
+            worst = max(worst, gap)
     _verdict(
         "spf-experiment",
-        produced,  # reporting only: no agreement threshold is asserted
-        f"n=2 agreement {stats2.agreements}/200, n=3 agreement {stats3.agreements}/100, "
-        f"worst gaps {stats2.worst_gap:.3e} / {stats3.worst_gap:.3e}, "
-        f"artifacts in {tmp_path}",
+        unconverged == 0 and agree == {2: 200, 3: 100},
+        f"SPF ties brute force on {agree[2]}/200 instances at n=2 and "
+        f"{agree[3]}/100 at n=3, worst relative gap {worst:.3e}, "
+        f"{unconverged} SPF solves unconverged",
     )
 
 

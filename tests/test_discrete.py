@@ -75,6 +75,20 @@ def test_allocation_validation_and_doc_roundtrip():
         DiscreteAllocation((1, 1), (1,))
 
 
+def test_allocation_refuses_fractional_owners_and_quanta():
+    # refused, not truncated: ((1.9,), (2.5,)) must not read ((1,), (2,))
+    for owner, quanta in (((1.9,), (2.5,)), ((1.9,), (2,)), ((1, 2), (1, 2.5))):
+        with pytest.raises(ValueError, match="integers"):
+            DiscreteAllocation(owner, quanta)
+    with pytest.raises(ValueError, match="integers"):
+        discrete_allocation_from_doc({"slots": [{"owner": 1, "quanta": 2.5}]})
+    with pytest.raises(ValueError, match="integers"):
+        discrete_allocation_from_doc({"slots": [{"owner": 1.5, "quanta": 2}]})
+    alloc = discrete_allocation_from_doc({"slots": [{"owner": 2.0, "quanta": 3.0}]})
+    assert alloc == DiscreteAllocation((2,), (3,))
+    assert type(alloc.owner[0]) is int and type(alloc.quanta[0]) is int
+
+
 def test_discrete_cost_untransmitted_packet():
     inst = Instance((5.0,), 0.0)
     params = DiscreteParams(1.0, 1.0, 0, 0)

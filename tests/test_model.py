@@ -57,6 +57,17 @@ def test_order_validation_and_views():
         Order.from_sequence((1, 1, 2))
 
 
+def test_order_refuses_fractional_positions():
+    # refused, not truncated: Order((1.5, 2)) must not read (1, 2)
+    with pytest.raises(ValueError, match="integers"):
+        Order((1.5, 2))
+    with pytest.raises(ValueError, match="integers"):
+        Order(np.array([2.0, 1.0000001]))
+    # integral floats are positions: brute force builds orders from float rows
+    assert Order((2.0, 1.0)) == Order(np.array([2.0, 1.0])) == Order((2, 1))
+    assert all(type(p) is int for p in Order(np.array([2.0, 1.0])).perm)
+
+
 # ---------------------------------------------------------------------------
 # shannon_bits
 

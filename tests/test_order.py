@@ -1,5 +1,5 @@
-"""Order-search tests: brute force, shortest-packet-first, and the agreement
-experiment."""
+"""Order-search tests: brute force, and shortest-packet-first checked against
+it as the optimal order."""
 
 from itertools import permutations
 
@@ -8,12 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edds.model import DomainError, Instance, Order, SizeError
-from edds.order import (
-    brute_force_order,
-    spf_agreement_experiment,
-    spf_order,
-)
-from edds import csolve, order as order_module
+from edds.order import brute_force_order, spf_order
+from edds import csolve
 from edds.csolve import solve_fixed_order
 
 
@@ -116,58 +112,6 @@ def test_spf_is_optimal_at_the_brute_force_cap():
     spf_cost = solve_fixed_order(inst, spf_order(inst)).cost.total
     _, best = brute_force_order(inst)
     assert abs(spf_cost - best.cost.total) <= 1e-9 * best.cost.total
-
-
-def test_agreement_experiment_empty():
-    stats = spf_agreement_experiment(0, rng_seed=1, n=2)
-    assert stats.agreement == 1.0
-    assert stats.worst_instance is None
-    assert stats.rows == ()
-
-
-def test_agreement_experiment_runs_and_is_consistent():
-    stats = spf_agreement_experiment(6, rng_seed=5, n=2)
-    assert stats.count == 6 and len(stats.rows) == 6
-    for _, label, spf_cost, opt_cost, gap in stats.rows:
-        assert gap == pytest.approx(spf_cost - opt_cost, rel=1e-12)
-        assert spf_cost >= opt_cost - 1e-9  # brute force dominates
-        assert "|" in label and ";" in label or stats.n == 1
-    assert 0.0 <= stats.agreement <= 1.0
-    # deterministic given the seed
-    again = spf_agreement_experiment(6, rng_seed=5, n=2)
-    assert again == stats
-
-
-def test_agreement_experiment_serialization():
-    stats = spf_agreement_experiment(3, rng_seed=9, n=2)
-    doc = stats.to_doc()
-    assert doc["count"] == 3 and doc["n"] == 2 and doc["seed"] == 9
-    csv_text = stats.to_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "seed,instance,spf_cost,opt_cost,gap"
-    assert len(lines) == 4
-
-
-def test_agreement_experiment_reports_a_losing_order(monkeypatch):
-    # SPF is optimal, so only another order in its place, longest first,
-    # reaches the branch that reports a disagreement.
-    monkeypatch.setattr(
-        order_module, "spf_order",
-        lambda inst: Order.from_sequence(reversed(spf_order(inst).sequence())),
-    )
-    stats = spf_agreement_experiment(4, rng_seed=5, n=3)
-    assert stats.agreements < stats.count
-    assert stats.worst_gap > 0
-    worst = stats.worst_instance
-    label = ";".join(f"{b:.10g}" for b in worst.bits) + f"|{worst.energy:.10g}"
-    seed, _, spf_cost, opt_cost, gap = next(row for row in stats.rows if row[1] == label)
-    assert gap == stats.worst_gap == max(row[4] for row in stats.rows)
-    assert f"{seed},{label},{spf_cost!r},{opt_cost!r},{gap!r}" in stats.to_csv().split("\n")
-
-
-def test_agreement_experiment_size_cap():
-    with pytest.raises(SizeError):
-        spf_agreement_experiment(1, rng_seed=0, n=9)
 
 
 _sizes = st.one_of(

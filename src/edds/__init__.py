@@ -27,7 +27,6 @@ from .model import (
 from .csolve import (
     SolveReport,
     gradient,
-    hessian_block,
     project_budget,
     solve_fixed_order,
 )
@@ -51,6 +50,7 @@ from .verify import (
     check_monotone,
     check_supermodular,
     di_as_set_function,
+    hessian_block,
 )
 
 __version__ = "0.1.0"

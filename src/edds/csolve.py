@@ -108,40 +108,6 @@ def gradient(inst: Instance, alloc: ContinuousAllocation) -> np.ndarray:
     return out
 
 
-def _hessian_blocks(bits, e, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The curvature blocks' entries (h_ee, h_et, h_tt) at arrays of (B, e, t).
-
-    The formula of ``hessian_block``, element by element over broadcast
-    arrays.  Python's ``**`` and ``math.log1p`` run on each element: NumPy's
-    ``power`` and ``log1p`` round some inputs differently in the last bit.
-    """
-
-    def each(fn, x: np.ndarray) -> np.ndarray:
-        return np.array([fn(v) for v in x.ravel().tolist()], float).reshape(x.shape)
-
-    d = each(lambda v: 2.0 ** v, bits - shannon_bits(e, t))  # validates e and t
-    x = e / t
-    g_e, g_t = 1.0 / (1.0 + x), each(math.log1p, x) - x / (1.0 + x)
-    s = each(lambda v: v ** 2, t + e)
-    return d * (g_e * g_e + t / s), d * (g_e * g_t - e / s), d * (g_t * g_t + e * e / t / s)
-
-
-def hessian_block(inst: Instance, packet: int, e: float, t: float) -> np.ndarray:
-    """The 2x2 curvature block of one packet's cost in (E_i, t_i), exactly.
-
-    D = 2**B e**-phi with phi = t ln(1 + x), x = e / t, so the block is
-    D (g g^T + [[t, -e], [-e, e**2/t]] / (t + e)**2) with g = grad phi =
-    (1/(1 + x), ln(1 + x) - x/(1 + x)).  The delay a t adds no curvature, and
-    the cost separates across packets, so these blocks carry the Hessian.
-    """
-    if not 1 <= packet <= inst.n:
-        raise ValueError("packet index out of range")
-    h_ee, h_et, h_tt = _hessian_blocks(
-        np.array([inst.bits[packet - 1]]), np.array([e], float), np.array([t], float)
-    )
-    return np.array([[h_ee[0], h_et[0]], [h_et[0], h_tt[0]]])
-
-
 def project_budget(vec: np.ndarray, budget: float) -> np.ndarray:
     """Euclidean projection onto {x : x >= 0, sum(x) <= budget}.
 
@@ -366,11 +332,14 @@ def _report(inst: Instance, order: Order, roots: _Roots, i: int) -> SolveReport:
     Raises :class:`DomainError`, naming the packet, once the running sum of
     the distortions overflows float64.
     """
-    over = np.flatnonzero(~(roots.lost[i] < np.finfo(float).maxexp))
+    top = np.finfo(float).maxexp
+    over = np.flatnonzero(~(roots.lost[i] < top))
     if over.size:
-        j = over[0]
+        j, lost, bound = over[0], roots.lost[i, over[0]], ""
+        if not math.isfinite(lost):  # nan where t overflowed; bhat_j <= E / ln 2
+            lost, bound = max(inst.bits[j] - inst.energy / _LN2, top), "at least "
         raise DomainError(f"packet {j + 1}: the optimal distortion, summed up to this "
-                          f"packet, 2**{roots.lost[i, j]:.6g} overflows float64")
+                          f"packet, {bound}2**{lost:.6g} overflows float64")
     raw, e, t = roots.raw[i], roots.e[i], roots.t[i]
     budget, spent = inst.energy, float(roots.spent[i])
     alloc = ContinuousAllocation(tuple(e), tuple(t), order)

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import _E_SAFE, _LN2, T_MIN, DomainError, InfeasibleError, Instance, SizeError, shannon_bits
+from .model import _E_SAFE, _LN2, T_MIN, DomainError, InfeasibleError, Instance, SizeError, _integers, shannon_bits
 
 # A budget of more quanta than this is refused: the greedy builds a table of
 # Q + 1 floats and takes one step per quantum, each O(log n) heap work, and
@@ -50,8 +50,11 @@ class DiscreteParams:
             raise ValueError(f"slot_len must be finite and >= {T_MIN}, got {self.slot_len!r}")
         if not 0.0 < self.quantum < math.inf:
             raise ValueError(f"quantum must be positive and finite, got {self.quantum!r}")
-        if self.budget_quanta < 0 or self.max_slots < 0:
+        q, s = _integers((self.budget_quanta, self.max_slots), "budget_quanta and max_slots")
+        if q < 0 or s < 0:
             raise ValueError("budget_quanta and max_slots must be non-negative")
+        object.__setattr__(self, "budget_quanta", q)
+        object.__setattr__(self, "max_slots", s)
 
     @classmethod
     def for_instance(
@@ -85,12 +88,8 @@ class DiscreteAllocation:
     quanta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        given = (tuple(self.owner), tuple(self.quanta))
-        owner, quanta = tuple(map(int, given[0])), tuple(map(int, given[1]))
-        if (owner, quanta) != given:
-            raise ValueError("owners and quanta must be integers")
-        object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "quanta", quanta)
+        object.__setattr__(self, "owner", _integers(self.owner, "owners"))
+        object.__setattr__(self, "quanta", _integers(self.quanta, "quanta"))
         if len(self.owner) != len(self.quanta):
             raise ValueError("owner and quanta must have matching lengths")
         if min(self.owner, default=1) < 1:

@@ -103,6 +103,14 @@ def instance_from_doc(doc: dict) -> tuple[Instance, dict]:
     return inst, {k: doc[k] for k in ("slot_len", "quantum") if k in doc}
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as Python ints: integral floats and NumPy ints pass, the rest raise."""
+    given = tuple(values)
+    if (out := tuple(map(int, given))) != given:  # refused, not truncated
+        raise ValueError(f"{what} must be integers")
+    return out
+
+
 @dataclass(frozen=True)
 class Order:
     """A transmission order.
@@ -115,12 +123,8 @@ class Order:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        given = tuple(self.perm)
-        perm = tuple(map(int, given))
-        if perm != given:
-            raise ValueError("perm entries must be integers")
-        object.__setattr__(self, "perm", perm)
-        if sorted(perm) != list(range(1, len(perm) + 1)):
+        object.__setattr__(self, "perm", _integers(self.perm, "perm entries"))
+        if sorted(self.perm) != list(range(1, self.n + 1)):
             raise ValueError("perm must be a permutation of 1..n")
 
     @property
@@ -134,13 +138,7 @@ class Order:
     @classmethod
     def from_sequence(cls, seq) -> "Order":
         """Build an order from the packet sequence (``seq[p-1]`` is sent p-th)."""
-        seq = tuple(int(i) for i in seq)
-        perm = [0] * len(seq)
-        for pos, packet in enumerate(seq, start=1):
-            if not 1 <= packet <= len(seq) or perm[packet - 1]:
-                raise ValueError("sequence must list each packet exactly once")
-            perm[packet - 1] = pos
-        return cls(tuple(perm))
+        return cls(cls(seq).sequence())  # the two views are inverse permutations
 
     def sequence(self) -> tuple[int, ...]:
         """Packets listed in the order they go on air."""

@@ -3,8 +3,9 @@
 Numerically probes the structural claims the rest of the package leans on:
 monotonicity and supermodularity of the discrete per-packet cost viewed as a
 set function of resource cells, midpoint convexity of the continuous cost,
-and positive definiteness of its per-packet curvature blocks.  Checkers
-report violations with witnesses; they never assert.
+and positive definiteness of its per-packet curvature blocks, whose closed
+form (``hessian_block``) lives here because the solver never needs it.
+Checkers report violations with witnesses; they never assert.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-# hessian_block, the one-packet form of the probe's blocks, stays importable
-# here: perfbench's tracer wraps it under this name.
-from .csolve import _hessian_blocks, hessian_block  # noqa: F401
 from .discrete import DiscreteParams, _slot_bit_table, idle_costs
 from .model import Instance, Order, SizeError, delay_coefficients, shannon_bits
 
@@ -289,6 +287,40 @@ def di_as_set_function(
         return d
 
     return SetFunction(ground, fn)
+
+
+def _hessian_blocks(bits, e, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The curvature blocks' entries (h_ee, h_et, h_tt) at arrays of (B, e, t).
+
+    The formula of ``hessian_block``, element by element over broadcast
+    arrays.  Python's ``**`` and ``math.log1p`` run on each element: NumPy's
+    ``power`` and ``log1p`` round some inputs differently in the last bit.
+    """
+
+    def each(fn, x: np.ndarray) -> np.ndarray:
+        return np.array([fn(v) for v in x.ravel().tolist()], float).reshape(x.shape)
+
+    d = each(lambda v: 2.0 ** v, bits - shannon_bits(e, t))  # validates e and t
+    x = e / t
+    g_e, g_t = 1.0 / (1.0 + x), each(math.log1p, x) - x / (1.0 + x)
+    s = each(lambda v: v ** 2, t + e)
+    return d * (g_e * g_e + t / s), d * (g_e * g_t - e / s), d * (g_t * g_t + e * e / t / s)
+
+
+def hessian_block(inst: Instance, packet: int, e: float, t: float) -> np.ndarray:
+    """The 2x2 curvature block of one packet's cost in (E_i, t_i), exactly.
+
+    D = 2**B e**-phi with phi = t ln(1 + x), x = e / t, so the block is
+    D (g g^T + [[t, -e], [-e, e**2/t]] / (t + e)**2) with g = grad phi =
+    (1/(1 + x), ln(1 + x) - x/(1 + x)).  The delay a t adds no curvature, and
+    the cost separates across packets, so these blocks carry the Hessian.
+    """
+    if not 1 <= packet <= inst.n:
+        raise ValueError("packet index out of range")
+    h_ee, h_et, h_tt = _hessian_blocks(
+        np.array([inst.bits[packet - 1]]), np.array([e], float), np.array([t], float)
+    )
+    return np.array([[h_ee[0], h_et[0]], [h_et[0], h_tt[0]]])
 
 
 def check_convexity(

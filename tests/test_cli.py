@@ -660,6 +660,20 @@ def test_overflowing_optimal_total_exits_1_with_one_line(capsys):
     assert err.count("\n") == 1 and err.startswith("error: packet 2")
 
 
+@pytest.mark.parametrize("bits, packet, exponent", [
+    ("1e308", 1, "1e+308"), ("1e300", 1, "1e+300"), ("5,1e308", 2, "1e+308"),
+])
+def test_overflow_message_bounds_the_exponent_instead_of_nan(capsys, bits, packet, exponent):
+    # t = inf at the last multiplier made the running sum's exponent nan, and
+    # the message read "2**nan"; B_j - E / ln 2 bounds it from below
+    code, out, err = run_cli(capsys, "solve", "--bits", bits, "--energy", "1")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "nan" not in err
+    assert err.startswith(f"error: packet {packet}: ")
+    assert f"at least 2**{exponent} overflows float64" in err
+
+
 @pytest.mark.parametrize("command", ["discrete", "oracle"])
 @pytest.mark.parametrize("slot_len, quantum, field", [
     ("inf", "1", "slot_len"),  # printed NaN costs and "ratio": NaN

@@ -1,4 +1,5 @@
-"""Solver tests: gradients against finite differences, curvature blocks,
+"""Solver tests: gradients against finite differences, the per-packet
+curvature blocks (``verify.hessian_block``) that make the problem convex,
 convergence on reference instances, and the feasibility/optimality contracts."""
 
 import itertools
@@ -14,7 +15,6 @@ from edds.csolve import (
     SolveReport,
     _packets,
     gradient,
-    hessian_block,
     project_budget,
     solve_fixed_order,
 )
@@ -29,6 +29,7 @@ from edds.model import (
     shannon_bits,
 )
 from edds.order import brute_force_order, spf_order
+from edds.verify import hessian_block
 
 LN2 = math.log(2.0)
 

@@ -89,6 +89,26 @@ def test_allocation_refuses_fractional_owners_and_quanta():
     assert type(alloc.owner[0]) is int and type(alloc.quanta[0]) is int
 
 
+def test_params_refuse_fractional_caps_and_store_ints():
+    # 2.5 quanta let the greedy spend 3, which its own discrete_cost refused
+    for q, s in ((2.5, 3), (2, 3.5), (0.5, 0)):
+        with pytest.raises(ValueError, match="integers"):
+            DiscreteParams(1.0, 1.0, q, s)
+    for q, s in ((2.0, 3.0), (np.int64(2), np.int64(3))):
+        params = DiscreteParams(1.0, 1.0, q, s)
+        assert params == DiscreteParams(1.0, 1.0, 2, 3)
+        assert type(params.budget_quanta) is int and type(params.max_slots) is int
+
+
+def test_integral_float_caps_allocate_as_ints():
+    # the oracle raised TypeError on float caps, even integral ones
+    inst = Instance((2.0, 3.0), 3.0)
+    params = DiscreteParams(1.0, 1.0, 2.0, 3.0)
+    exact = DiscreteParams(1.0, 1.0, 2, 3)
+    assert oracle_allocate(inst, params) == oracle_allocate(inst, exact)
+    assert greedy_allocate(inst, params) == greedy_allocate(inst, exact)
+
+
 def test_discrete_cost_untransmitted_packet():
     inst = Instance((5.0,), 0.0)
     params = DiscreteParams(1.0, 1.0, 0, 0)

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the
-package's ``__all__`` names each of its exports once."""
+"""Every name a package module imports is used in that module, the
+package's ``__all__`` names each of its exports once, and the modules import
+one another only along the pinned graph."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,7 @@ import edds
 
 SRC = Path(edds.__file__).parent
 # Re-exported for the benchmark's tracer, which shims the name where it is imported.
-ALLOWED = {("verify.py", "hessian_block"), ("order.py", "solve_fixed_order")}
+ALLOWED = {("order.py", "solve_fixed_order")}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -36,6 +37,28 @@ def test_no_unused_imports():
         if (path.name, name) not in ALLOWED
     ]
     assert unused == []
+
+
+def test_modules_import_one_another_along_the_pinned_graph():
+    # each module imports only what sits below it: the probes need the models,
+    # not the solver
+    graph = {
+        path.stem: sorted(
+            node.module
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        )
+        for path in SRC.glob("*.py")
+        if path.stem != "__init__"
+    }
+    assert graph == {
+        "model": [],
+        "csolve": ["model"],
+        "order": ["csolve", "model"],
+        "discrete": ["model"],
+        "verify": ["discrete", "model"],
+        "cli": ["csolve", "discrete", "model", "order", "verify"],
+    }
 
 
 def test_all_names_each_export_once():

@@ -68,6 +68,14 @@ def test_order_refuses_fractional_positions():
     assert all(type(p) is int for p in Order(np.array([2.0, 1.0])).perm)
 
 
+def test_order_from_sequence_refuses_fractional_packets():
+    # refused, not truncated: from_sequence((1.5, 2)) read Order((1, 2))
+    with pytest.raises(ValueError, match="integers"):
+        Order.from_sequence((1.5, 2))
+    assert Order.from_sequence(np.array([2.0, 1.0])) == Order((2, 1))
+    assert all(type(p) is int for p in Order.from_sequence(np.array([3, 1, 2])).perm)
+
+
 # ---------------------------------------------------------------------------
 # shannon_bits
 

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from edds import verify
-from edds.csolve import hessian_block
 from edds.model import Instance, Order, SizeError, delay_coefficients, shannon_bits
 from edds.discrete import (
     DiscreteAllocation,
@@ -36,6 +35,7 @@ from edds.verify import (
     check_monotone,
     check_supermodular,
     di_as_set_function,
+    hessian_block,
 )
 
 
@@ -563,8 +563,9 @@ def test_convexity_draws_per_block_with_a_short_last_block(monkeypatch):
 
 
 def test_convexity_draws_only_feasible_points(monkeypatch):
-    # Every cost the probe evaluates: the block's points x and y, then their
-    # midpoint.  x and y spend at most E, to rounding, with t in [0.1, 10).
+    # Every rate the probe evaluates: the block's points x and y, their
+    # midpoint's cost, then the midpoint's curvature blocks at that same point.
+    # x and y spend at most E, to rounding, with t in [0.1, 10).
     calls = []
     monkeypatch.setattr(verify, "shannon_bits",
                         lambda e, t: calls.append((e, t)) or shannon_bits(e, t))
@@ -572,12 +573,14 @@ def test_convexity_draws_only_feasible_points(monkeypatch):
         calls.clear()
         trials = verify._TRIAL_BLOCK + 9
         check_convexity(inst, order, trials, seed)
-        assert len(calls) == 2 * 3
-        for e, t in calls[0::3] + calls[1::3]:
+        assert len(calls) == 2 * 4
+        for e, t in calls[0::4] + calls[1::4]:
             assert e.shape == t.shape and e.shape[1] == inst.n
             assert np.all(e >= 0.0) and np.all(e.sum(1) <= inst.energy * (1 + 1e-12))
             assert np.all(t >= 0.1) and np.all(t < 10.0)
-        assert sum(len(e) for e, _ in calls[0::3]) == trials
+        for (em, tm), (eh, th) in zip(calls[2::4], calls[3::4]):
+            assert np.array_equal(eh, em) and np.array_equal(th, tm)
+        assert sum(len(e) for e, _ in calls[0::4]) == trials
 
 
 def test_hessian_block_matches_the_scalar_formula_bit_for_bit():

@@ -52,11 +52,11 @@ from .model import (
 # Above lam = ln(max float) every energised packet's D_i = e**(lam + u_i)
 # overflows, so the root find never looks there.
 _LAM_MAX = math.log(np.finfo(float).max)
-_SNR_STEPS = 4  # Newton steps in _snr: 3e-14 relative for any ln c
-_ROOT_TOL = 1e-14  # |ln(spent / budget)| at which the root find stops
+_SNR_STEPS = 3  # Newton steps in _snr, from its start: 3e-14 relative for any ln c
+_ROOT_TOL = 1e-9  # n |ln(spent / budget)| at which the root find stops (see _dual_solve)
 # ... or where its Newton step is within a few ulps of max(|lam|, B_max ln 2):
 # k = B ln 2 - lam rounds at that scale, so no closer lam can be told apart,
-# and where times are small that rounding holds the residual above _ROOT_TOL.
+# and where times are small that rounding can hold n |ln(spent / budget)| above _ROOT_TOL.
 _STEP_TOL = 4 * 2.0**-52
 GAP_TOL = 1e-12  # relative duality gap that certifies an answer
 _MAX_STEPS = 200_000  # multiplier steps before a root find gives up; 4-5 typically certify
@@ -141,14 +141,16 @@ def _snr(log_c):
     """u = ln(1 + x) solving e**u (u - 1) + 1 = c, given ln c.
 
     With w = u + expm1(-u) = e**-u (e**u (u - 1) + 1), F(u) = u + ln w - ln c
-    is increasing and concave (F'' <= 0 reduces to 1 + u <= e**u), so Newton
-    steps u <- u - F(u) w / u, as F'(u) = u / w, rise monotonically from the
-    lower bound u = log1p(sqrt(2c)) to the root.  Where u < 1e-2 the sum in w
+    is increasing and concave (F'' <= 0 reduces to 1 + u <= e**u), so a Newton
+    step u <- u - F(u) w / u, as F'(u) = u / w, lands at or below the root from
+    any u, and the later steps rise monotonically to it.  From the start
+    u = ln(1 + sqrt(2c) + 0.327 c**0.9), within 10% of the root, the first lands
+    at most 1.1e-4 below, so u stays positive.  Where u < 1e-2 the sum in w
     cancels, so ln w = 2 ln u + ln(w / u**2) takes w / u**2 from its Taylor
     series.  Logs keep u > 0 representable down to c = e**-lam_max.  Also
     returns w / u**2 and du/d ln c = 1 / F'(u) = w / u, both from the last step.
     """
-    u = np.logaddexp(0.0, 0.5 * (log_c + _LN2))
+    u = np.logaddexp(0.0, np.logaddexp(0.5 * (log_c + _LN2), 0.9 * log_c - 1.118))
     for _ in range(_SNR_STEPS):
         w = u + np.expm1(-u)
         du = w / u
@@ -163,14 +165,15 @@ def _snr(log_c):
     return u, du / last, du
 
 
-def _packets(lam, bits, log_a):
-    """Every packet's KKT energy, time and dE/dlam at multiplier e**lam, the
-    boundary forms only if some t < t_min.  Runs under its caller's errstate."""
-    k = bits * _LN2 - lam
+def _packets(lam, k0, log_a):
+    """Every packet's KKT energy, time and dE/dlam at multiplier e**lam, with
+    k0 = B ln 2; boundary forms only if some t < t_min.  Runs under its caller's errstate."""
+    k = k0 - lam
     u, w2, du = _snr(log_a - lam)  # du/dlam = -du, as ln c = ln a - lam
     r = np.expm1(u) / u  # E = (k - u) r stays finite where t overflows
-    e = (k - u) * r
-    de = (du - 1.0) * r - (k - u) * np.exp(u) * w2 * du
+    ku = k - u
+    e = ku * r
+    de = (du - 1.0) * r - ku * np.exp(u) * w2 * du
     t = k / u - 1.0
     if np.fmin.reduce(t, axis=None) < T_MIN:  # also every packet with k <= 0
         edge = t < T_MIN
@@ -245,8 +248,10 @@ def _dual_solve(bits, a, budget):
     weight, spends the budget: 0.2-0.7 from the root on random instances with
     n from 4 to 256, and on it for one packet, where B_max ln 2 - 1 was 15-18
     from it.  That takes 4-5 steps where that start took 7-9.  A row stops
-    where its residual is within ``_ROOT_TOL`` or its Newton step within
-    ``_STEP_TOL`` of max(|lam|, B_max ln 2), taking |lam| at the start.
+    where n times its residual is within ``_ROOT_TOL`` or its Newton step within
+    ``_STEP_TOL`` of max(|lam|, B_max ln 2), taking |lam| at the start.  The
+    relative duality gap is second order in the residual; the answer's KKT
+    residual is first order in it and, being absolute, grows about as n.
 
     ``a`` holds one row of delay weights per order, and every row runs this
     root find on its own: its own bracket, its own kind of step, and its own
@@ -257,10 +262,10 @@ def _dual_solve(bits, a, budget):
     bit the one it gets alone.  Returns each row's last lam, its
     energies and times, their sum and the steps taken, at most ``_MAX_STEPS``.
     """
-    hi0 = min(float(bits.max()) * _LN2, _LAM_MAX)
+    k0 = bits * _LN2
+    hi0 = min(float(k0.max()), _LAM_MAX)
     lo0 = min(hi0 - 2.0 * max(budget, math.log1p(budget / T_MIN)), math.nextafter(hi0, -math.inf))
     log_a = np.log(a)
-    log_budget = math.log(budget)
     k = len(a)
     lam, spent, iters = np.empty(k), np.empty(k), np.empty(k, dtype=int)
     e, t = np.empty(a.shape), np.empty(a.shape)
@@ -268,17 +273,18 @@ def _dual_solve(bits, a, budget):
     lo, hi = np.full(k, lo0), np.full(k, hi0)
     x0 = _start(bits, float(a[0].mean()), budget, lo0, hi0)
     step_floor = _STEP_TOL * max(hi0, abs(x0))  # lam moves little from x0
+    root_tol = _ROOT_TOL / len(bits)
     x = np.full(k, x0)
     with np.errstate(all="ignore"):
         for it in range(1, _MAX_STEPS + 1):
-            er, tr, de = _packets(x[:, None], bits, log_a)
+            er, tr, de = _packets(x[:, None], k0, log_a)
             s, ds = er.sum(axis=1), de.sum(axis=1)
-            g = np.log(s) - log_budget
+            g = np.log(s / budget)
             down = g <= 0.0  # nan: sum overflowed
             lo, hi = np.where(down, lo, x), np.where(down, x, hi)
             step = g * s / ds
             nxt = x - step
-            stop = (np.abs(g) <= _ROOT_TOL) | (np.abs(step) <= step_floor)
+            stop = (np.abs(g) <= root_tol) | (np.abs(step) <= step_floor)
             inside = (lo < nxt) & (nxt < hi)
             if not inside.all():  # near lam_hi sum E is nearly linear in lam
                 nxt = np.where(inside, nxt, x - (s - budget) / ds)
@@ -333,16 +339,16 @@ def _report(inst: Instance, order: Order, roots: _Roots, i: int) -> SolveReport:
     the distortions overflows float64.
     """
     top = np.finfo(float).maxexp
-    over = np.flatnonzero(~(roots.lost[i] < top))
-    if over.size:
-        j, lost, bound = over[0], roots.lost[i, over[0]], ""
+    if not roots.lost[i, -1] < top:  # a running sum never falls, and nan stays nan
+        j = np.flatnonzero(~(roots.lost[i] < top))[0]
+        lost, bound = roots.lost[i, j], ""
         if not math.isfinite(lost):  # nan where t overflowed; bhat_j <= E / ln 2
             lost, bound = max(inst.bits[j] - inst.energy / _LN2, top), "at least "
         raise DomainError(f"packet {j + 1}: the optimal distortion, summed up to this "
                           f"packet, {bound}2**{lost:.6g} overflows float64")
     raw, e, t = roots.raw[i], roots.e[i], roots.t[i]
     budget, spent = inst.energy, float(roots.spent[i])
-    alloc = ContinuousAllocation(tuple(e), tuple(t), order)
+    alloc = ContinuousAllocation(e.tolist(), t.tolist(), order)
     cost = evaluate_cost(inst, alloc)
     # P - g = sum_i D_i expm1(ln 2 (bhat_i - bhat'_i)) + mu (E - spent), D_i and
     # bhat_i at the raw energies: the delays cancel, ln 2 (bhat_i - bhat'_i) =

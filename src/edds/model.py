@@ -106,9 +106,12 @@ def instance_from_doc(doc: dict) -> tuple[Instance, dict]:
 def _integers(values, what: str) -> tuple[int, ...]:
     """``values`` as Python ints: integral floats and NumPy ints pass, the rest raise."""
     given = tuple(values)
-    if (out := tuple(map(int, given))) != given:  # refused, not truncated
-        raise ValueError(f"{what} must be integers")
-    return out
+    try:  # int() raises OverflowError on an infinity, ValueError on a nan
+        if (out := tuple(map(int, given))) == given:  # refused, not truncated
+            return out
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"{what} must be integers")
 
 
 @dataclass(frozen=True)
@@ -157,8 +160,8 @@ class ContinuousAllocation:
     order: Order
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        object.__setattr__(self, "energies", tuple(map(float, self.energies)))
+        object.__setattr__(self, "times", tuple(map(float, self.times)))
         n = len(self.energies)
         if n != len(self.times) or n != self.order.n:
             raise ValueError("energies, times and order must have matching lengths")
@@ -200,7 +203,7 @@ class CostBreakdown:
 
     def __post_init__(self) -> None:
         for field in ("distortions", "delays", "bhat"):
-            object.__setattr__(self, field, tuple(float(x) for x in getattr(self, field)))
+            object.__setattr__(self, field, tuple(map(float, getattr(self, field))))
         object.__setattr__(self, "total", float(self.total))
 
     def to_doc(self) -> dict:
@@ -268,4 +271,4 @@ def evaluate_cost(inst: Instance, alloc: ContinuousAllocation) -> CostBreakdown:
     completion = np.empty(inst.n)
     completion[seq] = np.cumsum(t[seq])
     total = float(distortions.sum() + completion.sum())
-    return CostBreakdown(tuple(distortions), tuple(completion), tuple(bhat), total)
+    return CostBreakdown(distortions.tolist(), completion.tolist(), bhat.tolist(), total)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from edds import discrete
-from edds.model import InfeasibleError, Instance, SizeError, shannon_bits
+from edds.model import InfeasibleError, Instance, Order, SizeError, shannon_bits
 from edds.discrete import (
     MAX_ORACLE_WORK,
     MAX_QUANTA,
@@ -98,6 +98,18 @@ def test_params_refuse_fractional_caps_and_store_ints():
         params = DiscreteParams(1.0, 1.0, q, s)
         assert params == DiscreteParams(1.0, 1.0, 2, 3)
         assert type(params.budget_quanta) is int and type(params.max_slots) is int
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: DiscreteParams(1.0, 1.0, x, 3),
+    lambda x: Order((x,)),
+    lambda x: DiscreteAllocation((1,), (x,)),
+], ids=["params", "order", "allocation"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_entries_are_refused_as_non_integers(build, x):
+    # int() raised OverflowError on an infinity, and its own message on a nan
+    with pytest.raises(ValueError, match="must be integers"):
+        build(x)
 
 
 def test_integral_float_caps_allocate_as_ints():

@@ -61,6 +61,11 @@ def cases(edds) -> dict:
     rng = np.random.default_rng(64)
     wide_bits = rng.uniform(1.0, 25.0, 64)
     wide_inst = Instance(tuple(wide_bits.tolist()), float(wide_bits.sum()))
+    # perfbench's median item: an SPF solve at n = 16, B_i one in each of 16
+    # strata of [1, 25], E ~ U[0.5, 4] x sum(B)
+    rng16 = np.random.default_rng(16)
+    spf_bits = 1.0 + 24.0 * (rng16.permutation(16) + rng16.uniform(0.0, 1.0, 16)) / 16
+    spf_inst = Instance(tuple(spf_bits.tolist()), float(rng16.uniform(0.5, 4.0) * spf_bits.sum()))
     search_inst = Instance((3.0, 8.0, 15.0), 26.0)  # perfbench searches n = 2 to 4
     brute_inst = Instance(tuple(float(b) for b in range(3, 17, 2)), 40.0)
 
@@ -118,9 +123,11 @@ def cases(edds) -> dict:
             return check(counted, exhaustive=True), len(calls)
 
         out[name] = (run, lambda res: {"trials": res[0].trials, "subsets": res[1]})
-    for name, inst in (("solve-n4", solve_inst), ("solve-n64", wide_inst)):
+    for name, inst, order in (("solve-n4", solve_inst, Order.identity(4)),
+                              ("solve-n64", wide_inst, Order.identity(64)),
+                              ("solve-spf-n16", spf_inst, edds.order.spf_order(spf_inst))):
         out[name] = (
-            lambda inst=inst: edds.csolve.solve_fixed_order(inst, Order.identity(inst.n)),
+            lambda inst=inst, order=order: edds.csolve.solve_fixed_order(inst, order),
             lambda rep: {"multiplier_steps": rep.iterations},
         )
     for name, inst in (("brute-n3", search_inst), ("brute-n7", brute_inst)):

@@ -52,6 +52,7 @@ from .model import (
 # Above lam = ln(max float) every energised packet's D_i = e**(lam + u_i)
 # overflows, so the root find never looks there.
 _LAM_MAX = math.log(np.finfo(float).max)
+_MAXEXP = np.finfo(float).maxexp  # a log2 sum at or above it overflows float64
 _SNR_STEPS = 3  # Newton steps in _snr, from its start: 3e-14 relative for any ln c
 _ROOT_TOL = 1e-9  # n |ln(spent / budget)| at which the root find stops (see _dual_solve)
 # ... or where its Newton step is within a few ulps of max(|lam|, B_max ln 2):
@@ -59,7 +60,7 @@ _ROOT_TOL = 1e-9  # n |ln(spent / budget)| at which the root find stops (see _du
 # and where times are small that rounding can hold n |ln(spent / budget)| above _ROOT_TOL.
 _STEP_TOL = 4 * 2.0**-52
 GAP_TOL = 1e-12  # relative duality gap that certifies an answer
-_MAX_STEPS = 200_000  # multiplier steps before a root find gives up; 4-5 typically certify
+_MAX_STEPS = 200_000  # multiplier steps before a root find gives up; 3 typically certify
 
 
 @dataclass(frozen=True)
@@ -147,15 +148,18 @@ def _snr(log_c):
     u = ln(1 + sqrt(2c) + 0.327 c**0.9), within 10% of the root, the first lands
     at most 1.1e-4 below, so u stays positive.  Where u < 1e-2 the sum in w
     cancels, so ln w = 2 ln u + ln(w / u**2) takes w / u**2 from its Taylor
-    series.  Logs keep u > 0 representable down to c = e**-lam_max.  Also
-    returns w / u**2 and du/d ln c = 1 / F'(u) = w / u, both from the last step.
+    series.  Every step stays at or above 1e-2 where the start is at least
+    0.0115, so that is tested once, on the start.  Logs keep u > 0
+    representable down to c = e**-lam_max.  Also returns w / u**2 and
+    du/d ln c = 1 / F'(u) = w / u, both from the last step.
     """
     u = np.logaddexp(0.0, np.logaddexp(0.5 * (log_c + _LN2), 0.9 * log_c - 1.118))
+    series = np.fmin.reduce(u, axis=None) < 0.0115  # fmin skips nan, as any() would
     for _ in range(_SNR_STEPS):
         w = u + np.expm1(-u)
         du = w / u
         log_w = np.log(w)
-        if np.fmin.reduce(u, axis=None) < 1e-2:  # fmin skips nan, as any() would
+        if series:
             small = u < 1e-2
             w2 = _w2(u)
             log_w = np.where(small, 2.0 * np.log(u) + np.log(w2), log_w)
@@ -197,7 +201,10 @@ def _start(bits, a_bar, budget, lo, hi):
     ln spent(u) = ln E over v = ln u in (-360, 7) solves it in Python floats
     and logs, so nothing overflows; one bisect into the sorted B_i ln 2 finds
     the packets with B_i ln 2 > s.  For one packet the model is the problem,
-    but for the t_min boundary, which it leaves out.
+    but for the t_min boundary, which it leaves out.  For more it is biased:
+    on SPF orders, which give the largest weights to the smallest packets, it
+    lands above the root (0.28 at n = 4, 0.55 at n = 64, medians), and
+    ``_model_step`` corrects it for each order's spread of weights.
     """
     fallback = max(lo, hi - 1.0)
     ks = (np.sort(bits) * _LN2).tolist()
@@ -239,15 +246,64 @@ def _start(bits, a_bar, budget, lo, hi):
     return fallback
 
 
+def _model_step(x0, k0, log_a, a_bar, budget, lo, hi):
+    """Each row's multiplier after one Newton step on ln sum E from ``_start``'s
+    x0, on a surrogate that gives every packet its own SNR, or x0 where that
+    step is not strictly inside (lo, hi), where no packet would still spend at
+    its end, or where the model's SNR is below about 1e-2.
+
+    The surrogate expands u_i = u(ln c + d_i), d_i = ln(a_i / a_bar), to second
+    order about the model's SNR u at x0: U' = w / u and U'' = U' (u (1 - e**-u)
+    - w) / u**2 are du/d ln c and its derivative, by ``_snr``'s F.  Then
+    E_i = max(B_i ln 2 - x0 - u_i, 0) expm1(u_i) / u_i, as in ``_packets``, with
+    dE_i/dlam from du_i/dlam = -(U' + U'' d_i).  One pass over the (orders x n)
+    weights, elementwise or row sums, so each row still gets its own answer.
+    """
+    x = np.full(len(log_a), x0)
+    log_c = math.log(a_bar) - x0
+    # _snr's start and steps in floats: 1.4 us here, 9 us through NumPy
+    p, q = 0.5 * (log_c + _LN2), 0.9 * log_c - 1.118
+    h = max(p, q) + math.log1p(math.exp(-abs(p - q)))
+    u = max(h, 0.0) + math.log1p(math.exp(-abs(h)))
+    if not u >= 0.0115:  # w would cancel; as in _snr, every step stays >= 1e-2
+        return x
+    for _ in range(_SNR_STEPS):
+        w = u + math.expm1(-u)
+        u -= (u + math.log(w) - log_c) * w / u
+    rise = -math.expm1(-u)
+    w = u - rise
+    d1 = w / u
+    d2 = d1 * (u * rise - w) / (u * u)
+    d = log_a - math.log(a_bar)
+    du = d1 + d2 * d  # du_i/d ln c_i = -du_i/dlam
+    dku = du - 1.0  # d(B_i ln 2 - lam - u_i)/dlam
+    ui = u + d * (d1 + 0.5 * d2 * d)
+    r = np.expm1(ui) / ui
+    ku = np.maximum(k0 - x0 - ui, 0.0)
+    s = (ku * r).sum(axis=1)
+    ds = (np.where(ku > 0.0, dku * r, 0.0) - ku * (np.exp(ui) - r) / ui * du).sum(axis=1)
+    nxt = x0 - np.log(s / budget) * s / ds
+    # A step past the lam where, to first order, the last packet stops
+    # spending overshot the surrogate's own root.  On tiny budgets with ties
+    # among the largest packets the true sum E falls steeply there onto its
+    # t_min boundary forms, and from there, with the bracket not yet narrowed
+    # by x0, the root find took 1-6 more steps than from x0.
+    spends = (ku + dku * (nxt - x0)[:, None]).max(axis=1) > 0.0
+    return np.where((lo < nxt) & (nxt < hi) & spends, nxt, x)
+
+
 def _dual_solve(bits, a, budget):
     """Newton on g = ln(sum E(lam) / budget), then on sum E itself, then
     bisection, each kept inside the bracket [lo, hi].  At lo the largest
     packet alone spends the budget, whether its time is below 1 or not, and
     lo is at least one float64 step below hi, where no packet spends.  The
     root find starts where ``_start``'s one-SNR model, at the mean delay
-    weight, spends the budget: 0.2-0.7 from the root on random instances with
-    n from 4 to 256, and on it for one packet, where B_max ln 2 - 1 was 15-18
-    from it.  That takes 4-5 steps where that start took 7-9.  A row stops
+    weight (n + 1) / 2, spends the budget, on the root for one packet, where
+    B_max ln 2 - 1 was 15-18 from it; for more, one ``_model_step`` from there.
+    On SPF solves with n from 4 to 64 and E from 0.5 to 4 x sum B, the model
+    lands 0.28-0.55 above the root and the step 0.006-0.024 below it
+    (medians), so 3 steps certify where the model's start took 4-5 and
+    B_max ln 2 - 1 took 7-9.  A row stops
     where n times its residual is within ``_ROOT_TOL`` or its Newton step within
     ``_STEP_TOL`` of max(|lam|, B_max ln 2), taking |lam| at the start.  The
     relative duality gap is second order in the residual; the answer's KKT
@@ -257,9 +313,9 @@ def _dual_solve(bits, a, budget):
     root find on its own: its own bracket, its own kind of step, and its own
     stop, after which it is frozen.  Each step batches the rows still
     running.  Every row holds the same integer weights 1..n in some order, so
-    their mean, and with it the start, is exact and the same for every row.
-    Every operation is elementwise or a row sum, so a row's answer is bit for
-    bit the one it gets alone.  Returns each row's last lam, its
+    their mean, and with it the model's start, is exact and the same for every
+    row.  Every operation is elementwise or a row sum, so a row's answer is
+    bit for bit the one it gets alone.  Returns each row's last lam, its
     energies and times, their sum and the steps taken, at most ``_MAX_STEPS``.
     """
     k0 = bits * _LN2
@@ -270,21 +326,29 @@ def _dual_solve(bits, a, budget):
     lam, spent, iters = np.empty(k), np.empty(k), np.empty(k, dtype=int)
     e, t = np.empty(a.shape), np.empty(a.shape)
     rows = np.arange(k)  # the rows still running; x, lo, hi and log_a are theirs
-    lo, hi = np.full(k, lo0), np.full(k, hi0)
-    x0 = _start(bits, float(a[0].mean()), budget, lo0, hi0)
+    lo, hi = lo0, hi0  # arrays from the first step on
+    n, a_bar = len(bits), (len(bits) + 1) / 2
+    x0 = _start(bits, a_bar, budget, lo0, hi0)
     step_floor = _STEP_TOL * max(hi0, abs(x0))  # lam moves little from x0
-    root_tol = _ROOT_TOL / len(bits)
-    x = np.full(k, x0)
+    root_tol = _ROOT_TOL / n
     with np.errstate(all="ignore"):
+        if n > 1 and x0 != max(lo0, hi0 - 1.0):  # one packet: the model is the problem
+            x = _model_step(x0, k0, log_a, a_bar, budget, lo0, hi0)
+        else:
+            x = np.full(k, x0)
         for it in range(1, _MAX_STEPS + 1):
             er, tr, de = _packets(x[:, None], k0, log_a)
             s, ds = er.sum(axis=1), de.sum(axis=1)
             g = np.log(s / budget)
+            step = g * s / ds
+            stop = (np.abs(g) <= root_tol) | (np.abs(step) <= step_floor)
+            if it == _MAX_STEPS:
+                stop[:] = True
+            if len(rows) == k and stop.all():  # every row stops here, as one order does
+                return x, er, tr, s, np.full(k, it)
             down = g <= 0.0  # nan: sum overflowed
             lo, hi = np.where(down, lo, x), np.where(down, x, hi)
-            step = g * s / ds
             nxt = x - step
-            stop = (np.abs(g) <= root_tol) | (np.abs(step) <= step_floor)
             inside = (lo < nxt) & (nxt < hi)
             if not inside.all():  # near lam_hi sum E is nearly linear in lam
                 nxt = np.where(inside, nxt, x - (s - budget) / ds)
@@ -292,8 +356,6 @@ def _dual_solve(bits, a, budget):
                 if not inside.all():
                     nxt = np.where(inside, nxt, 0.5 * (lo + hi))
                     stop |= ~((lo < nxt) & (nxt < hi))
-            if it == _MAX_STEPS:
-                stop[:] = True
             if stop.any():
                 done = rows[stop]
                 lam[done], e[done], t[done], spent[done] = x[stop], er[stop], tr[stop], s[stop]
@@ -338,12 +400,11 @@ def _report(inst: Instance, order: Order, roots: _Roots, i: int) -> SolveReport:
     Raises :class:`DomainError`, naming the packet, once the running sum of
     the distortions overflows float64.
     """
-    top = np.finfo(float).maxexp
-    if not roots.lost[i, -1] < top:  # a running sum never falls, and nan stays nan
-        j = np.flatnonzero(~(roots.lost[i] < top))[0]
+    if not roots.lost[i, -1] < _MAXEXP:  # a running sum never falls, and nan stays nan
+        j = np.flatnonzero(~(roots.lost[i] < _MAXEXP))[0]
         lost, bound = roots.lost[i, j], ""
         if not math.isfinite(lost):  # nan where t overflowed; bhat_j <= E / ln 2
-            lost, bound = max(inst.bits[j] - inst.energy / _LN2, top), "at least "
+            lost, bound = max(inst.bits[j] - inst.energy / _LN2, _MAXEXP), "at least "
         raise DomainError(f"packet {j + 1}: the optimal distortion, summed up to this "
                           f"packet, {bound}2**{lost:.6g} overflows float64")
     raw, e, t = roots.raw[i], roots.e[i], roots.t[i]

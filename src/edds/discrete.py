@@ -528,13 +528,14 @@ def certificate_sweep() -> Iterator[tuple[Instance, DiscreteParams]]:
     """The instance grid on which ``test_c06`` certifies the greedy's 2x bound.
 
     n in {1,2,3}, B_i in {1,2,3}, slot lengths {0.5, 1}, quanta {0.5, 1} and
-    budgets of 1..6 quanta: 936 instances.
+    budgets of 1..6 quanta: 936 instances, from 24 parameter sets and 9
+    energies per bits tuple, each built once.
     """
+    grid = [DiscreteParams(slot_len, quantum, q, max_slots=6)
+            for slot_len in (0.5, 1.0) for quantum in (0.5, 1.0) for q in range(1, 7)]
+    energies = {params.quantum * params.budget_quanta for params in grid}
     for n in (1, 2, 3):
         for bits in product((1.0, 2.0, 3.0), repeat=n):
-            for slot_len in (0.5, 1.0):
-                for quantum in (0.5, 1.0):
-                    for q in range(1, 7):
-                        inst = Instance(bits, energy=quantum * q)
-                        params = DiscreteParams(slot_len, quantum, q, max_slots=6)
-                        yield inst, params
+            insts = {energy: Instance(bits, energy=energy) for energy in energies}
+            for params in grid:
+                yield insts[params.quantum * params.budget_quanta], params

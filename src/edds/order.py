@@ -40,7 +40,7 @@ import numpy as np
 from .model import Instance, Order, SizeError
 # solve_fixed_order stays importable here: perfbench's tracer wraps it under
 # this name.
-from .csolve import SolveReport, _report, _solve_orders, solve_fixed_order  # noqa: F401
+from .csolve import _MAXEXP, SolveReport, _report, _solve_orders, solve_fixed_order  # noqa: F401
 
 N_MAX = 8  # 8! = 40320 orders, solved in blocks of _BLOCK rows, is the ceiling.
 _BLOCK = 5040  # 7!: orders per batched root find, which bounds its memory
@@ -80,7 +80,7 @@ def _search_block(inst, block, best, floor):
     arrays are freed on return, before the next block is solved."""
     a = inst.n - block + 1.0  # delay_coefficients, row by row
     roots = _solve_orders(inst, a)
-    ok = roots.lost[:, -1] < np.finfo(float).maxexp  # the whole distortion sum
+    ok = roots.lost[:, -1] < _MAXEXP  # the whole distortion sum
     with np.errstate(over="ignore", invalid="ignore"):
         screen = np.where(ok, np.exp2(roots.lost[:, -1]) + (a * roots.t).sum(axis=1), math.inf)
     floor = min(floor, float(screen.min()))

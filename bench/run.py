@@ -69,13 +69,17 @@ def cases(edds) -> dict:
     search_inst = Instance((3.0, 8.0, 15.0), 26.0)  # perfbench searches n = 2 to 4
     brute_inst = Instance(tuple(float(b) for b in range(3, 17, 2)), 40.0)
 
-    out = {
-        "oracle-sweep": (
-            lambda: [oracle_allocate(i, p) for i, p in sweep],
-            lambda _: {"instances": len(sweep), "dp_steps": sum(
-                plan(i.n, p.budget_quanta, p.max_slots)[0] for i, p in sweep)},
-        ),
-    }
+    # The sweep's instances with Q > 2, capped at 2 slots: below Q the cap
+    # binds, so the DP tracks slots (stride 2S + 1), which the sweep never does.
+    capped = [(i, DiscreteParams(p.slot_len, p.quantum, p.budget_quanta, 2))
+              for i, p in sweep if p.budget_quanta > 2]
+    out = {}
+    for name, pairs in (("oracle-sweep", sweep), ("oracle-cap", capped)):
+        out[name] = (
+            lambda pairs=pairs: [oracle_allocate(i, p) for i, p in pairs],
+            lambda _, pairs=pairs: {"instances": len(pairs), "dp_steps": sum(
+                plan(i.n, p.budget_quanta, p.max_slots)[0] for i, p in pairs)},
+        )
     for name, inst in refs.items():
         out[f"convexity-{name}-1000"] = (
             lambda inst=inst: edds.verify.check_convexity(

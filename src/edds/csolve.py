@@ -190,26 +190,40 @@ def _packets(lam, k0, log_a):
     return e, t, de
 
 
-def _start(bits, a_bar, budget, lo, hi):
-    """The multiplier at which a one-SNR model of the instance spends the
-    budget, or ``max(lo, hi - 1)`` where that is not strictly inside (lo, hi).
+def _start(k0, log_a, budget, lo, hi):
+    """The multiplier x0 at which a one-SNR model of the instance spends the
+    budget, and each row's first multiplier: one Newton step from x0 on a
+    surrogate that gives every packet its own SNR.  Both are max(lo, hi - 1)
+    where the model has no root strictly inside (lo, hi).  A row starts at x0
+    for one packet (the model is the problem but for the t_min boundary),
+    where the model's SNR is below 1e-2, and where its step lands outside
+    (lo, hi) or leaves no packet spending.
 
-    The model gives every packet the delay weight ``a_bar`` and so one SNR u:
-    lam(u) = ln a_bar - u - ln w(u), w = u + expm1(-u), by ``_snr``'s F, and
-    spent(u) = expm1(u)/u * sum_i max(B_i ln 2 - s, 0) with s = lam + u =
-    ln a_bar - ln w, which rises with u.  Safeguarded Newton on
-    ln spent(u) = ln E over v = ln u in (-360, 7) solves it in Python floats
-    and logs, so nothing overflows; one bisect into the sorted B_i ln 2 finds
-    the packets with B_i ln 2 > s.  For one packet the model is the problem,
-    but for the t_min boundary, which it leaves out.  For more it is biased:
-    on SPF orders, which give the largest weights to the smallest packets, it
-    lands above the root (0.28 at n = 4, 0.55 at n = 64, medians), and
-    ``_model_step`` corrects it for each order's spread of weights.
+    The model gives every packet the mean delay weight a_bar = (n + 1) / 2 and
+    so one SNR u: lam(u) = ln a_bar - u - ln w(u), w = u + expm1(-u), by
+    ``_snr``'s F, and spent(u) = expm1(u)/u * sum_i max(k0_i - s, 0), with
+    k0 = B ln 2 and s = lam + u = ln a_bar - ln w, which rises with u.
+    Safeguarded Newton on ln spent(u) = ln E over v = ln u in (-360, 7) solves
+    it in Python floats and logs, so nothing overflows; one bisect into the
+    sorted k0 finds the packets with k0_i > s.  On SPF orders, which give the
+    largest weights to the smallest packets, x0 lies above the root (0.28 at
+    n = 4, 0.55 at n = 64, medians).
+
+    The surrogate corrects that for each row's spread of weights.  It expands
+    u_i = u(ln c + d_i), d_i = ln(a_i / a_bar), to second order about the
+    model's own SNR at x0, u e**-step: U' = w / u and U'' = U' (u (1 - e**-u)
+    - w) / u**2 are du/d ln c and its derivative, by ``_snr``'s F.  Then
+    E_i = max(k0_i - x0 - u_i, 0) expm1(u_i) / u_i, as in ``_packets``, with
+    dE_i/dlam from du_i/dlam = -(U' + U'' d_i).  One pass over the (orders x
+    n) weights, elementwise or row sums, so each row gets its own answer.
+    Runs under its caller's errstate.
     """
+    n = len(k0)
     fallback = max(lo, hi - 1.0)
-    ks = (np.sort(bits) * _LN2).tolist()
+    ks = np.sort(k0).tolist()
     tails = list(accumulate(reversed(ks)))  # tails[m - 1]: the m largest summed
-    n, log_a, log_budget = len(ks), math.log(a_bar), math.log(budget)
+    log_a_bar, log_budget = math.log((n + 1) / 2), math.log(budget)
+    x0 = math.nan  # the model's root, once its Newton stops
     v_lo, v_hi, v = -360.0, 7.0, 0.0  # u from 4e-157, where s > _LAM_MAX, to 1100
     for _ in range(60):  # Newton takes 4-19 steps; bisection alone would need 40
         u = math.exp(v)
@@ -222,7 +236,7 @@ def _start(bits, a_bar, budget, lo, hi):
             w = u - rise
             log_w, rise_u_w = math.log(w), rise * u / w
             log_r, dlog_r = u + math.log(rise) - v, 1.0 / rise - 1.0 / u
-        s = log_a - log_w
+        s = log_a_bar - log_w
         m = n - bisect_right(ks, s)
         active = tails[m - 1] - m * s if m else 0.0
         if not active > 0.0:  # no packet spends: u is too small
@@ -237,46 +251,25 @@ def _start(bits, a_bar, budget, lo, hi):
             # 1e-9 of the budget, or v at its rounding; lam is taken at
             # v - step, linearly, as dlam/dv = -(u + rise u / w)
             if abs(g) <= 1e-9 or abs(step) <= 1e-12:
-                lam = s - u + step * (u + rise_u_w)
-                return lam if lo < lam < hi else fallback
+                x0 = s - u + step * (u + rise_u_w)
+                u *= math.exp(-step)
+                break
             nxt = v - step
             if not v_lo < nxt < v_hi:
                 nxt = 0.5 * (v_lo + v_hi)
         v = nxt
-    return fallback
-
-
-def _model_step(x0, k0, log_a, a_bar, budget, lo, hi):
-    """Each row's multiplier after one Newton step on ln sum E from ``_start``'s
-    x0, on a surrogate that gives every packet its own SNR, or x0 where that
-    step is not strictly inside (lo, hi), where no packet would still spend at
-    its end, or where the model's SNR is below about 1e-2.
-
-    The surrogate expands u_i = u(ln c + d_i), d_i = ln(a_i / a_bar), to second
-    order about the model's SNR u at x0: U' = w / u and U'' = U' (u (1 - e**-u)
-    - w) / u**2 are du/d ln c and its derivative, by ``_snr``'s F.  Then
-    E_i = max(B_i ln 2 - x0 - u_i, 0) expm1(u_i) / u_i, as in ``_packets``, with
-    dE_i/dlam from du_i/dlam = -(U' + U'' d_i).  One pass over the (orders x n)
-    weights, elementwise or row sums, so each row still gets its own answer.
-    """
+    if not lo < x0 < hi:  # nan too: no root in 60 steps
+        return fallback, np.full(len(log_a), fallback)
     x = np.full(len(log_a), x0)
-    log_c = math.log(a_bar) - x0
-    # _snr's start and steps in floats: 1.4 us here, 9 us through NumPy
-    p, q = 0.5 * (log_c + _LN2), 0.9 * log_c - 1.118
-    h = max(p, q) + math.log1p(math.exp(-abs(p - q)))
-    u = max(h, 0.0) + math.log1p(math.exp(-abs(h)))
-    if not u >= 0.0115:  # w would cancel; as in _snr, every step stays >= 1e-2
-        return x
-    for _ in range(_SNR_STEPS):
-        w = u + math.expm1(-u)
-        u -= (u + math.log(w) - log_c) * w / u
+    if n == 1 or u < 1e-2:  # below 1e-2, w = u - rise cancels
+        return x0, x
     rise = -math.expm1(-u)
     w = u - rise
     d1 = w / u
     d2 = d1 * (u * rise - w) / (u * u)
-    d = log_a - math.log(a_bar)
+    d = log_a - log_a_bar
     du = d1 + d2 * d  # du_i/d ln c_i = -du_i/dlam
-    dku = du - 1.0  # d(B_i ln 2 - lam - u_i)/dlam
+    dku = du - 1.0  # d(k0_i - lam - u_i)/dlam
     ui = u + d * (d1 + 0.5 * d2 * d)
     r = np.expm1(ui) / ui
     ku = np.maximum(k0 - x0 - ui, 0.0)
@@ -289,7 +282,7 @@ def _model_step(x0, k0, log_a, a_bar, budget, lo, hi):
     # t_min boundary forms, and from there, with the bracket not yet narrowed
     # by x0, the root find took 1-6 more steps than from x0.
     spends = (ku + dku * (nxt - x0)[:, None]).max(axis=1) > 0.0
-    return np.where((lo < nxt) & (nxt < hi) & spends, nxt, x)
+    return x0, np.where((lo < nxt) & (nxt < hi) & spends, nxt, x)
 
 
 def _dual_solve(bits, a, budget):
@@ -297,13 +290,12 @@ def _dual_solve(bits, a, budget):
     bisection, each kept inside the bracket [lo, hi].  At lo the largest
     packet alone spends the budget, whether its time is below 1 or not, and
     lo is at least one float64 step below hi, where no packet spends.  The
-    root find starts where ``_start``'s one-SNR model, at the mean delay
-    weight (n + 1) / 2, spends the budget, on the root for one packet, where
-    B_max ln 2 - 1 was 15-18 from it; for more, one ``_model_step`` from there.
-    On SPF solves with n from 4 to 64 and E from 0.5 to 4 x sum B, the model
-    lands 0.28-0.55 above the root and the step 0.006-0.024 below it
-    (medians), so 3 steps certify where the model's start took 4-5 and
-    B_max ln 2 - 1 took 7-9.  A row stops
+    root find starts at ``_start``'s rows: where its one-SNR model, at the
+    mean delay weight (n + 1) / 2, spends the budget, which is the root for
+    one packet, and for more one surrogate Newton step from there.  On SPF
+    solves with n from 4 to 64 and E from 0.5 to 4 x sum B, the model lands
+    0.28-0.55 above the root and the step 0.006-0.024 below it (medians), so
+    3 steps certify.  A row stops
     where n times its residual is within ``_ROOT_TOL`` or its Newton step within
     ``_STEP_TOL`` of max(|lam|, B_max ln 2), taking |lam| at the start.  The
     relative duality gap is second order in the residual; the answer's KKT
@@ -327,15 +319,10 @@ def _dual_solve(bits, a, budget):
     e, t = np.empty(a.shape), np.empty(a.shape)
     rows = np.arange(k)  # the rows still running; x, lo, hi and log_a are theirs
     lo, hi = lo0, hi0  # arrays from the first step on
-    n, a_bar = len(bits), (len(bits) + 1) / 2
-    x0 = _start(bits, a_bar, budget, lo0, hi0)
-    step_floor = _STEP_TOL * max(hi0, abs(x0))  # lam moves little from x0
-    root_tol = _ROOT_TOL / n
+    root_tol = _ROOT_TOL / len(bits)
     with np.errstate(all="ignore"):
-        if n > 1 and x0 != max(lo0, hi0 - 1.0):  # one packet: the model is the problem
-            x = _model_step(x0, k0, log_a, a_bar, budget, lo0, hi0)
-        else:
-            x = np.full(k, x0)
+        x0, x = _start(k0, log_a, budget, lo0, hi0)
+        step_floor = _STEP_TOL * max(hi0, abs(x0))  # lam moves little from x0
         for it in range(1, _MAX_STEPS + 1):
             er, tr, de = _packets(x[:, None], k0, log_a)
             s, ds = er.sum(axis=1), de.sum(axis=1)

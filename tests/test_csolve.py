@@ -443,9 +443,10 @@ def test_model_start_lies_inside_the_bracket(monkeypatch, energy):
     # bracket, the start is its lower end, max(lo, hi - 1).
     seen = []
 
-    def spy(bits, a_bar, budget, lo, hi, start=csolve._start):
-        seen.append((lo, start(bits, a_bar, budget, lo, hi), hi))
-        return seen[-1][1]
+    def spy(k0, log_a, budget, lo, hi, start=csolve._start):
+        x0, x = start(k0, log_a, budget, lo, hi)
+        seen.append((lo, x0, hi))
+        return x0, x
 
     monkeypatch.setattr(csolve, "_start", spy)
     rng = np.random.default_rng(61)
@@ -466,9 +467,10 @@ def test_model_step_lies_inside_the_bracket(monkeypatch):
     # rows take the step only at 1e303 and 1e307.
     seen, first = [], []
 
-    def spy(bits, a_bar, budget, lo, hi, start=csolve._start):
-        seen.append((lo, start(bits, a_bar, budget, lo, hi), hi))
-        return seen[-1][1]
+    def spy(k0, log_a, budget, lo, hi, start=csolve._start):
+        x0, x = start(k0, log_a, budget, lo, hi)
+        seen.append((lo, x0, hi))
+        return x0, x
 
     def packets(lam, k0, log_a, packets=csolve._packets):
         if len(first) < len(seen):
@@ -503,7 +505,12 @@ def test_model_step_stops_short_of_the_t_min_boundary(monkeypatch, bits, factor)
     # packet still spends at its end.
     inst = Instance(bits, factor * sum(bits))
     steps = solve_fixed_order(inst, spf_order(inst)).iterations
-    monkeypatch.setattr(csolve, "_model_step", lambda x0, k0, log_a, *_: np.full(len(log_a), x0))
+
+    def start(k0, log_a, budget, lo, hi, start=csolve._start):
+        x0, _ = start(k0, log_a, budget, lo, hi)
+        return x0, np.full(len(log_a), x0)
+
+    monkeypatch.setattr(csolve, "_start", start)
     assert steps <= solve_fixed_order(inst, spf_order(inst)).iterations
 
 
@@ -515,9 +522,10 @@ def test_model_start_survives_a_subnormal_w(monkeypatch, energy):
     # bracket's top, _LAM_MAX, so the start is the fallback.
     seen = []
 
-    def spy(bits, a_bar, budget, lo, hi, start=csolve._start):
-        seen.append((lo, start(bits, a_bar, budget, lo, hi), hi))
-        return seen[-1][1]
+    def spy(k0, log_a, budget, lo, hi, start=csolve._start):
+        x0, x = start(k0, log_a, budget, lo, hi)
+        seen.append((lo, x0, hi))
+        return x0, x
 
     monkeypatch.setattr(csolve, "_start", spy)
     a = delay_coefficients(Order.identity(1))[None]
@@ -526,6 +534,33 @@ def test_model_start_survives_a_subnormal_w(monkeypatch, energy):
     assert len(seen) == 17
     for lo, x, hi in seen:
         assert hi == csolve._LAM_MAX and x == max(lo, hi - 1.0), (lo, x, hi)
+
+
+@pytest.mark.parametrize("energy", [5e-324, 1e-300, 1e303, 1e307, 1.7e308])
+def test_start_gives_each_row_of_a_block_its_own_start(monkeypatch, energy):
+    # The start mixes one scalar model with a pass over every row's weights,
+    # so on a block of orders each row must start, bit for bit, where it
+    # starts alone.
+    calls, start = [], csolve._start
+
+    def spy(*args):
+        calls.append(args)
+        return start(*args)
+
+    monkeypatch.setattr(csolve, "_start", spy)
+    rng = np.random.default_rng(71)
+    for n in (2, 7, 64):
+        perms = [range(1, n + 1), range(n, 0, -1)] + [rng.permutation(n) + 1 for _ in range(6)]
+        a = np.stack([delay_coefficients(Order(tuple(p))) for p in perms])
+        for bits in (np.ones(n), np.full(n, 1023.9), rng.uniform(0.0, 1023.9, n)):
+            csolve._dual_solve(bits, a, energy)
+    assert len(calls) == 9
+    with np.errstate(all="ignore"):  # as in _dual_solve
+        for k0, log_a, budget, lo, hi in calls:
+            x0, x = start(k0, log_a, budget, lo, hi)
+            for i in range(len(log_a)):
+                alone = start(k0, log_a[i:i + 1], budget, lo, hi)
+                assert alone[0] == x0 and alone[1][0] == x[i], (len(k0), budget, i)
 
 
 def test_zero_energy_packet_sits_on_its_boundary():
@@ -670,7 +705,10 @@ def test_truncated_gap_is_inf_where_it_cannot_be_formed(monkeypatch):
     # three steps leave the raw energies far below the budget: the distortion
     # at the rescaled energies underflows to 0 while expm1 of the change
     # overflows, and 0 * inf read "duality_gap": NaN.
-    monkeypatch.setattr(csolve, "_start", lambda bits, a_bar, budget, lo, hi: max(lo, hi - 1.0))
+    def start(k0, log_a, budget, lo, hi):
+        return max(lo, hi - 1.0), np.full(len(log_a), max(lo, hi - 1.0))
+
+    monkeypatch.setattr(csolve, "_start", start)
     for bits, energy, steps in [((40.0,), 1e5, (1,)), ((900.0,), 1e4, (1, 2, 3))]:
         for m in steps:
             monkeypatch.setattr(csolve, "_MAX_STEPS", m)

@@ -68,6 +68,9 @@ def cases(edds) -> dict:
     spf_inst = Instance(tuple(spf_bits.tolist()), float(rng16.uniform(0.5, 4.0) * spf_bits.sum()))
     search_inst = Instance((3.0, 8.0, 15.0), 26.0)  # perfbench searches n = 2 to 4
     brute_inst = Instance(tuple(float(b) for b in range(3, 17, 2)), 40.0)
+    # n = 8: 40320 orders in 8 blocks, the one case whose screen's floor
+    # crosses blocks
+    brute8_inst = Instance(tuple(float(b) for b in range(3, 19, 2)), 40.0)
 
     # The sweep's instances with Q > 2, capped at 2 slots: below Q the cap
     # binds, so the DP tracks slots (stride 2S + 1), which the sweep never does.
@@ -134,7 +137,8 @@ def cases(edds) -> dict:
             lambda inst=inst, order=order: edds.csolve.solve_fixed_order(inst, order),
             lambda rep: {"multiplier_steps": rep.iterations},
         )
-    for name, inst in (("brute-n3", search_inst), ("brute-n7", brute_inst)):
+    for name, inst in (("brute-n3", search_inst), ("brute-n7", brute_inst),
+                       ("brute-n8", brute8_inst)):
         out[name] = (
             lambda inst=inst: edds.order.brute_force_order(inst),
             lambda res, inst=inst: {"orders": math.factorial(inst.n),

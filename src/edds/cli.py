@@ -65,10 +65,12 @@ def _parse_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"expected numeric start:stop:step, got {text!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise _UsageError(f"start, stop and step must be finite in {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"need step > 0 and stop >= start in {text!r}")
     span = (stop - start) / step + 1e-9
-    if not span < MAX_GRID_POINTS:  # also inf and nan
+    if not span < MAX_GRID_POINTS:  # also inf, where stop - start overflows
         raise _UsageError(f"{text!r} has more than {MAX_GRID_POINTS} points")
     count = int(math.floor(span)) + 1
     return [start + k * step for k in range(count)]

@@ -285,7 +285,18 @@ def _start(k0, log_a, budget, lo, hi):
     return x0, np.where((lo < nxt) & (nxt < hi) & spends, nxt, x)
 
 
-def _dual_solve(bits, a, budget):
+class _Roots(NamedTuple):
+    """The root find's last point, one row per order."""
+
+    lam: np.ndarray  # (k,) the last multiplier evaluated
+    raw: np.ndarray  # (k, n) its energies, which spend `spent`
+    t: np.ndarray  # (k, n) its times
+    spent: np.ndarray  # (k,)
+    iters: np.ndarray  # (k,) multiplier steps
+    e: np.ndarray  # (k, n) raw rescaled to spend the budget
+
+
+def _dual_solve(bits, a, budget) -> _Roots:
     """Newton on g = ln(sum E(lam) / budget), then on sum E itself, then
     bisection, each kept inside the bracket [lo, hi].  At lo the largest
     packet alone spends the budget, whether its time is below 1 or not, and
@@ -308,8 +319,13 @@ def _dual_solve(bits, a, budget):
     their mean, and with it the model's start, is exact and the same for every
     row.  Every operation is elementwise or a row sum, so a row's answer is
     bit for bit the one it gets alone.  Returns each row's last lam, its
-    energies and times, their sum and the steps taken, at most ``_MAX_STEPS``.
+    energies and times, their sum, the steps taken, at most ``_MAX_STEPS``,
+    and the energies rescaled to spend the budget: exactly for one packet, and
+    nan where t or the sum overflowed.  Raises ValueError unless the budget is
+    positive.
     """
+    if budget <= 0:
+        raise ValueError("the continuous solver needs a positive energy budget")
     k0 = bits * _LN2
     hi0 = min(float(k0.max()), _LAM_MAX)
     lo0 = min(hi0 - 2.0 * max(budget, math.log1p(budget / T_MIN)), math.nextafter(hi0, -math.inf))
@@ -332,7 +348,8 @@ def _dual_solve(bits, a, budget):
             if it == _MAX_STEPS:
                 stop[:] = True
             if len(rows) == k and stop.all():  # every row stops here, as one order does
-                return x, er, tr, s, np.full(k, it)
+                lam, e, t, spent, iters = x, er, tr, s, np.full(k, it)
+                break
             down = g <= 0.0  # nan: sum overflowed
             lo, hi = np.where(down, lo, x), np.where(down, x, hi)
             nxt = x - step
@@ -352,64 +369,37 @@ def _dual_solve(bits, a, budget):
                     break
                 rows, nxt, lo, hi, log_a = rows[go], nxt[go], lo[go], hi[go], log_a[go]
             x = nxt
-    return lam, e, t, spent, iters
-
-
-class _Roots(NamedTuple):
-    """The root find's last point, one row per order."""
-
-    lam: np.ndarray  # (k,) the last multiplier evaluated
-    raw: np.ndarray  # (k, n) its energies, which spend `spent`
-    t: np.ndarray  # (k, n) its times
-    spent: np.ndarray  # (k,)
-    iters: np.ndarray  # (k,) multiplier steps
-    e: np.ndarray  # (k, n) raw rescaled to spend the budget
-    lost: np.ndarray  # (k, n) log2 running sums of the distortions at e
-
-
-def _solve_orders(inst: Instance, a: np.ndarray) -> _Roots:
-    """The root find on every row of delay weights ``a`` at once, with each
-    row's energies rescaled to spend the budget."""
-    if inst.energy <= 0:
-        raise ValueError("the continuous solver needs a positive energy budget")
-    bits = np.asarray(inst.bits)
-    budget = inst.energy
-    lam, raw, t, spent, iters = _dual_solve(bits, a, budget)
-    with np.errstate(invalid="ignore"):  # nan where t or the sum overflowed
-        e = raw / spent[:, None] * budget  # one packet spends exactly the budget
-        lost = np.logaddexp2.accumulate(bits - shannon_bits(e, t), axis=1)
-    return _Roots(lam, raw, t, spent, iters, e, lost)
+        return _Roots(lam, e, t, spent, iters, e / spent[:, None] * budget)
 
 
 def _report(inst: Instance, order: Order, roots: _Roots, i: int) -> SolveReport:
     """Row ``i`` of a root find, solved in ``order``, as a report.
 
     Raises :class:`DomainError`, naming the packet, once the running sum of
-    the distortions overflows float64.
+    the distortions that its ``evaluate_cost`` prices overflows float64.
     """
-    if not roots.lost[i, -1] < _MAXEXP:  # a running sum never falls, and nan stays nan
-        j = np.flatnonzero(~(roots.lost[i] < _MAXEXP))[0]
-        lost, bound = roots.lost[i, j], ""
-        if not math.isfinite(lost):  # nan where t overflowed; bhat_j <= E / ln 2
-            lost, bound = max(inst.bits[j] - inst.energy / _LN2, _MAXEXP), "at least "
-        raise DomainError(f"packet {j + 1}: the optimal distortion, summed up to this "
-                          f"packet, {bound}2**{lost:.6g} overflows float64")
     raw, e, t = roots.raw[i], roots.e[i], roots.t[i]
     budget, spent = inst.energy, float(roots.spent[i])
     alloc = ContinuousAllocation(e.tolist(), t.tolist(), order)
-    cost = evaluate_cost(inst, alloc)
-    # P - g = sum_i D_i expm1(ln 2 (bhat_i - bhat'_i)) + mu (E - spent), D_i and
-    # bhat_i at the raw energies: the delays cancel, ln 2 (bhat_i - bhat'_i) =
-    # t log1p(dE / (t + E')) and D_i = D'_i e**-that, so nothing large cancels.
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not converged
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: overflowed or not converged
+        cost = evaluate_cost(inst, alloc)
+        lost = np.logaddexp2.accumulate(np.asarray(inst.bits) - cost.bhat)  # log2 running sums
+        if not lost[-1] < _MAXEXP:  # a running sum never falls, and nan stays nan
+            j = np.flatnonzero(~(lost < _MAXEXP))[0]
+            lost, bound = lost[j], ""
+            if not math.isfinite(lost):  # nan where t overflowed; bhat_j <= E / ln 2
+                lost, bound = max(inst.bits[j] - budget / _LN2, _MAXEXP), "at least "
+            raise DomainError(f"packet {j + 1}: the optimal distortion, summed up to this "
+                              f"packet, {bound}2**{lost:.6g} overflows float64")
+        # P - g = sum_i D_i expm1(ln 2 (bhat_i - bhat'_i)) + mu (E - spent), D_i and
+        # bhat_i at the raw energies: the delays cancel, ln 2 (bhat_i - bhat'_i) =
+        # t log1p(dE / (t + E')) and D_i = D'_i e**-that, so nothing large cancels.
         nats = t * np.log1p((raw - e) / (t + e))
         gap = -float(np.asarray(cost.distortions) @ np.expm1(-nats))
         gap = (gap + math.exp(roots.lam[i]) * (budget - spent)) / cost.total
     if math.isnan(gap):  # 0 * inf: a D_i underflowed where expm1 overflowed
         gap = math.inf
-    overshoot = tuple(
-        j + 1 for j in range(inst.n) if cost.bhat[j] > inst.bits[j] + 1e-12
-    )
+    overshoot = tuple(j + 1 for j in range(inst.n) if cost.bhat[j] > inst.bits[j] + 1e-12)
     return SolveReport(
         alloc=alloc,
         cost=cost,
@@ -435,4 +425,5 @@ def solve_fixed_order(inst: Instance, order: Order) -> SolveReport:
     """
     if order.n != inst.n:
         raise ValueError("order size does not match instance")
-    return _report(inst, order, _solve_orders(inst, delay_coefficients(order)[None]), 0)
+    roots = _dual_solve(np.asarray(inst.bits), delay_coefficients(order)[None], inst.energy)
+    return _report(inst, order, roots, 0)

@@ -37,10 +37,10 @@ from itertools import chain, islice, permutations
 
 import numpy as np
 
-from .model import Instance, Order, SizeError
+from .model import Instance, Order, SizeError, shannon_bits
 # solve_fixed_order stays importable here: perfbench's tracer wraps it under
 # this name.
-from .csolve import _MAXEXP, SolveReport, _report, _solve_orders, solve_fixed_order  # noqa: F401
+from .csolve import SolveReport, _dual_solve, _report, solve_fixed_order  # noqa: F401
 
 N_MAX = 8  # 8! = 40320 orders, solved in blocks of _BLOCK rows, is the ceiling.
 _BLOCK = 5040  # 7!: orders per batched root find, which bounds its memory
@@ -55,7 +55,7 @@ def brute_force_order(inst: Instance) -> tuple[Order, SolveReport]:
     ``solve_fixed_order`` returns for its order, a truncated root find
     included.  Each row is screened by P = sum D_i + sum a_i t_i, and only
     the rows within a relative 1e-9 of the least P so far, plus every row
-    whose distortions overflow, become reports, without a re-solve, in
+    whose P overflows, become reports, without a re-solve, in
     permutation order.  So ties keep the lexicographically smallest
     permutation (a strict < in the iteration order), the result is
     deterministic, and an overflowing order raises the
@@ -75,16 +75,18 @@ def brute_force_order(inst: Instance) -> tuple[Order, SolveReport]:
 
 
 def _search_block(inst, block, best, floor):
-    """Solve one block of orders, rows of positions, and return the cheapest
-    (order, report) so far with the least screened cost so far.  The block's
-    arrays are freed on return, before the next block is solved."""
+    """Solve one block of orders, rows of positions, screen each row by its
+    primal cost, and return the cheapest (order, report) so far with the least
+    screen so far.  An inf or nan screen, where the distortions overflow, goes
+    to ``_report``.  The block's arrays are freed before the next block."""
+    bits = np.asarray(inst.bits)
     a = inst.n - block + 1.0  # delay_coefficients, row by row
-    roots = _solve_orders(inst, a)
-    ok = roots.lost[:, -1] < _MAXEXP  # the whole distortion sum
+    roots = _dual_solve(bits, a, inst.energy)
     with np.errstate(over="ignore", invalid="ignore"):
-        screen = np.where(ok, np.exp2(roots.lost[:, -1]) + (a * roots.t).sum(axis=1), math.inf)
-    floor = min(floor, float(screen.min()))
-    for i in np.flatnonzero(~ok | (screen <= floor + _SCREEN_RTOL * abs(floor))):
+        screen = (np.exp2(bits - shannon_bits(roots.e, roots.t)) + a * roots.t).sum(axis=1)
+    bad = ~np.isfinite(screen)
+    floor = min(floor, float(screen.min(initial=math.inf, where=~bad)))
+    for i in np.flatnonzero(bad | (screen <= floor + _SCREEN_RTOL * abs(floor))):
         order = Order(block[i])
         report = _report(inst, order, roots, i)
         if best is None or report.cost.total < best[1].cost.total:

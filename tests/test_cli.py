@@ -421,6 +421,15 @@ def test_oversized_grids_and_budgets_exit_1(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid", ["nan:2:1", "0:50:nan", "0:inf:1"])
+def test_non_finite_ranges_exit_1(capsys, grid):
+    # a nan passes the step and order test, and an inf step made one point
+    code, out, err = run_cli(capsys, "sweep", "--fix", "B1=5", "--vary", f"B2={grid}",
+                             "--energy", "4")
+    assert (code, out) == (1, "")
+    assert err == f"error: start, stop and step must be finite in {grid!r}\n"
+
+
 def test_discrete_zero_energy(capsys):
     code, out, err = run_cli(
         capsys, "discrete", "--bits", "2", "--energy", "0",

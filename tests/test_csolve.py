@@ -4,6 +4,7 @@ convergence on reference instances, and the feasibility/optimality contracts."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -611,12 +612,24 @@ def test_agrees_with_brute_force_over_orders():
 
 
 def test_overflowing_distortion_raises_domain_error():
-    # 1100 bits on 50 J: at best 2**(1100 - 72) is left, beyond float64
-    with pytest.raises(DomainError, match="packet 1"):
-        solve_fixed_order(Instance((1100.0,), 50.0), Order((1,)))
-    # each distortion is finite, their sum is not: no infinite total comes back
-    with pytest.raises(DomainError, match="packet 2"):
-        solve_fixed_order(Instance((1023.9, 1023.9), 1e-3), Order((1, 2)))
+    # The overflow is found on the costs the report prices, and brute force's
+    # screen sends the row there, both under errstate: no warning escapes.
+    witnesses = [
+        # 1100 bits on 50 J: at best 2**(1100 - 72) is left, beyond float64
+        ((1100.0,), 50.0, "packet 1"),
+        # each distortion is finite, their sum is not: no infinite total comes back
+        ((1023.9, 1023.9), 1e-3, "packet 2"),
+        # t overflows, so the sum is nan and only its bound B - E / ln 2 is known
+        ((1e308,), 5.0, r"packet 1: .* at least 2\*\*1e\+308 "),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bits, energy, match in witnesses:
+            inst = Instance(bits, energy)
+            with pytest.raises(DomainError, match=match):
+                solve_fixed_order(inst, Order.identity(inst.n))
+            with pytest.raises(DomainError, match=match):
+                brute_force_order(inst)
 
 
 # Budgets below what one float64 step of the multiplier under B_max ln 2
